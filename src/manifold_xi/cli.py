@@ -22,14 +22,11 @@ import os
 import sys
 
 from . import __version__
-from .dep_tests import (
-    dcor_test_permutation,
-    result_as_dict,
-    xi_test_asymptotic,
-    xi_test_permutation,
-)
+from .dep_tests import METHODS, result_as_dict, run_test
 from .errors import ManifoldXiError
 from .manifold_gen import (
+    CASES,
+    TRANSFORMS,
     ScenarioSpec,
     generate,
     read_dataset_csv,
@@ -69,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run one independence test")
     p.add_argument("--input", required=True, help="CSV with header y,x1..xD")
-    p.add_argument("--method", required=True,
-                   choices=("xi_asymptotic", "xi_permutation", "dcor_permutation"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--dim", type=int, default=None,
                    help="intrinsic dimension (required for xi_asymptotic)")
     p.add_argument("--alpha", type=float, default=0.05)
@@ -93,10 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--case", required=True,
-                   choices=("gaussian", "linear", "quadratic", "cosine", "wshape"))
-    p.add_argument("--transform", default="manifold_embed",
-                   choices=("identity", "linear_embed", "manifold_embed"))
+    p.add_argument("--case", required=True, choices=CASES)
+    p.add_argument("--transform", default="manifold_embed", choices=TRANSFORMS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -139,17 +133,8 @@ def _cmd_xi(args) -> int:
 def _cmd_test(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         x, y = read_dataset_csv(fh)
-    if args.method == "xi_asymptotic":
-        if args.dim is None:
-            raise ManifoldXiError("xi_asymptotic requires --dim")
-        result = xi_test_asymptotic(x, y, m=args.dim, alpha=args.alpha,
-                                    tail=args.tail)
-    elif args.method == "xi_permutation":
-        result = xi_test_permutation(x, y, alpha=args.alpha,
-                                     B=args.permutations, seed=args.seed)
-    else:
-        result = dcor_test_permutation(x, y, alpha=args.alpha,
-                                       B=args.permutations, seed=args.seed)
+    result = run_test(args.method, x, y, args.alpha, m=args.dim, tail=args.tail,
+                      B=args.permutations, seed=args.seed)
     print(json.dumps(result_as_dict(result, m=args.dim)))
     return 0
 

@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DegenerateInputError, InvalidInputError
-from .nn_graph import as_point_cloud, build_nn_graph
+from .nn_graph import build_nn_graph
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import _validate_response, compute_ranks, xi_n
+from .rank_xi import _validate_pair, _validate_response, compute_ranks, xi_n
 from .rngs import substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -57,22 +58,15 @@ class DistanceCorrelation:
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    """Standard normal CDF (:func:`scipy.special.ndtr`)."""
+    return float(special.ndtr(z))
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection on :func:`normal_cdf`."""
+    """Inverse standard normal CDF (:func:`scipy.special.ndtri`) on ``(0, 1)``."""
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(special.ndtri(p))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -131,13 +125,8 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     _check_alpha(alpha)
     if B < 19:
         raise InvalidInputError(f"need B >= 19 permutations, got {B}")
-    cloud = as_point_cloud(x)
-    y = _validate_response(y)
+    cloud, y = _validate_pair(x, y, min_n=3)
     n = cloud.n
-    if y.shape[0] != n:
-        raise InvalidInputError(f"length mismatch: {n} points vs {y.shape[0]} responses")
-    if n < 3:
-        raise InvalidInputError(f"need n >= 3, got {n}")
     nn = build_nn_graph(cloud).nn_index
     ranks = compute_ranks(y)
     observed = int(np.minimum(ranks, ranks[nn]).sum())
@@ -153,17 +142,25 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
 
 
-def _distance_matrix(a: np.ndarray) -> np.ndarray:
+def _centred_distances(a: np.ndarray) -> np.ndarray:
+    """Double-centred Euclidean distance matrix of the rows of ``a``."""
     if a.ndim == 1:
         a = a[:, None]
     diff = a[:, None, :] - a[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
 
 
-def _double_center(d: np.ndarray) -> np.ndarray:
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+def _dcor_parts(x, y) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Validate a pair for distance correlation and return its centred
+    distance matrices ``a`` and ``b``, the distance variances of ``x`` and
+    ``y``, and their geometric mean (the normaliser)."""
+    cloud, y = _validate_pair(x, y, min_n=4)
+    a = _centred_distances(cloud.points)
+    b = _centred_distances(y)
+    dvar_x = float((a * a).mean())
+    dvar_y = float((b * b).mean())
+    return a, b, dvar_x, dvar_y, math.sqrt(dvar_x * dvar_y)
 
 
 def dcor_stats(x, y) -> DistanceCorrelation:
@@ -174,19 +171,8 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     by the geometric mean of the two self-products.  A constant ``x`` or
     ``y`` makes the normalizer zero; that degenerate case reports 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = _validate_response(y)
-    n = y.shape[0]
-    if (x.shape[0] if x.ndim > 0 else 0) != n:
-        raise InvalidInputError("x and y lengths differ")
-    if n < 4:
-        raise InvalidInputError(f"distance correlation needs n >= 4, got {n}")
-    a = _double_center(_distance_matrix(x))
-    b = _double_center(_distance_matrix(y))
+    a, b, dvar_x, dvar_y, norm = _dcor_parts(x, y)
     dcov2 = max(float((a * b).mean()), 0.0)
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    norm = math.sqrt(dvar_x * dvar_y)
     if norm <= 0.0:
         return DistanceCorrelation(0.0, dcov2, dvar_x, dvar_y, degenerate=True)
     return DistanceCorrelation(min(max(dcov2 / norm, 0.0), 1.0),
@@ -210,18 +196,8 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     _check_alpha(alpha)
     if B < 19:
         raise InvalidInputError(f"need B >= 19 permutations, got {B}")
-    x = np.asarray(x, dtype=float)
-    y = _validate_response(y)
-    n = y.shape[0]
-    if x.shape[0] != n:
-        raise InvalidInputError("x and y lengths differ")
-    if n < 4:
-        raise InvalidInputError(f"distance correlation needs n >= 4, got {n}")
-    a = _double_center(_distance_matrix(x))
-    b = _double_center(_distance_matrix(y))
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    norm = math.sqrt(dvar_x * dvar_y)
+    a, b, _, _, norm = _dcor_parts(x, y)
+    n = b.shape[0]
     if norm <= 0.0:
         # Degenerate input: every permuted statistic equals the observed 0.
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
@@ -237,6 +213,25 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     stat = min(max(observed, 0.0) / norm, 1.0)
     return TestResult(method="dcor_permutation", statistic=stat, p_value=p,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
+
+
+def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
+             constants: NullConstants | None = None, tail: str = "right",
+             B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
+    """Run the independence test named ``method`` (one of :data:`METHODS`).
+
+    ``m``, ``constants`` and ``tail`` go to the asymptotic test, which
+    requires ``m``; ``B`` and ``seed`` go to the permutation tests.
+    """
+    if method == "xi_asymptotic":
+        if m is None:
+            raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
+        return xi_test_asymptotic(x, y, m, alpha, constants, tail=tail)
+    if method == "xi_permutation":
+        return xi_test_permutation(x, y, alpha, B=B, seed=seed)
+    if method == "dcor_permutation":
+        return dcor_test_permutation(x, y, alpha, B=B, seed=seed)
+    raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

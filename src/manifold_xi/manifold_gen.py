@@ -172,17 +172,10 @@ def generate(spec: ScenarioSpec) -> GeneratedData:
     return GeneratedData(x=x, y=y, latent_z=z)
 
 
-def sample_uniform_manifold(m: int, n: int, geometry: str = "cube",
-                            seed: int = 0) -> PointCloud:
-    """``n`` i.i.d. uniform points on ``[0, 1]^m``.
-
-    ``geometry`` only tags which metric downstream consumers should use
-    (``torus`` means wrap-around); the sample itself is identical.
-    """
+def sample_uniform_manifold(m: int, n: int, seed: int = 0) -> PointCloud:
+    """``n`` i.i.d. uniform points on ``[0, 1]^m``."""
     if m < 1 or n < 1:
         raise InvalidInputError(f"m and n must be >= 1, got m={m}, n={n}")
-    if geometry not in ("cube", "torus"):
-        raise InvalidInputError(f"unknown geometry {geometry!r}")
     return PointCloud(substream(seed).random((n, m)))
 
 

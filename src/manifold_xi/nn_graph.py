@@ -17,15 +17,13 @@ simulation on the unit cube or the flat torus.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DuplicatePointsError, InvalidInputError
-from .rngs import substream
+from .rngs import parallel_map, substream
 
 # Above this ambient dimension an axis-aligned tree degrades to a linear
 # scan anyway, so the tree method silently falls back to brute force.
@@ -277,22 +275,12 @@ def estimate_constants_empirical(m: int, n: int, reps: int,
     if geometry not in ("cube", "torus"):
         raise InvalidInputError(f"unknown geometry {geometry!r}")
 
-    pair = np.empty(reps)
-    triple = np.empty(reps)
-
-    def one(rep: int) -> None:
+    def one(rep: int) -> tuple[float, float]:
         nn = _nn_uniform_sample(m, n, geometry, substream(seed, rep))
         deg = np.bincount(nn, minlength=n)
-        pair[rep] = (nn[nn] == np.arange(n)).sum() / n
-        triple[rep] = (deg * (deg - 1)).sum() / n
+        return (nn[nn] == np.arange(n)).sum() / n, (deg * (deg - 1)).sum() / n
 
-    workers = threads or min(32, os.cpu_count() or 1)
-    if workers > 1 and reps > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(reps)))
-    else:
-        for rep in range(reps):
-            one(rep)
+    pair, triple = np.array(parallel_map(one, range(reps), threads)).T
 
     def se(a: np.ndarray) -> float:
         return float(a.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TieError
-from .nn_graph import as_point_cloud, build_nn_graph
+from .nn_graph import PointCloud, as_point_cloud, build_nn_graph
 from .rngs import substream
 
 
@@ -49,6 +49,18 @@ def _validate_response(y) -> np.ndarray:
     if not np.isfinite(y).all():
         raise InvalidInputError("response contains non-finite values")
     return y
+
+
+def _validate_pair(x, y, min_n: int, strict: bool = False) -> tuple[PointCloud, np.ndarray]:
+    """Validate paired predictors and responses of equal length ``n >= min_n``."""
+    cloud = as_point_cloud(x, strict=strict)
+    y = _validate_response(y)
+    n = cloud.n
+    if y.shape[0] != n:
+        raise InvalidInputError(f"length mismatch: {n} points vs {y.shape[0]} responses")
+    if n < min_n:
+        raise InvalidInputError(f"need n >= {min_n}, got {n}")
+    return cloud, y
 
 
 def compute_ranks(y, strict: bool = False) -> np.ndarray:
@@ -88,13 +100,8 @@ def xi_n(x, y, method: str = "auto", strict: bool = False) -> XiStatistic:
     Requires ``n >= 3``.  Distance ties break toward the smallest index,
     so the value is deterministic on any input.
     """
-    cloud = as_point_cloud(x, strict=strict)
-    y = _validate_response(y)
+    cloud, y = _validate_pair(x, y, min_n=3, strict=strict)
     n = cloud.n
-    if y.shape[0] != n:
-        raise InvalidInputError(f"length mismatch: {n} points vs {y.shape[0]} responses")
-    if n < 3:
-        raise InvalidInputError(f"xi_n requires n >= 3, got {n}")
     graph = build_nn_graph(cloud, method=method, strict=strict)
     ranks = compute_ranks(y, strict=strict)
     rank_sum = int(np.minimum(ranks, ranks[graph.nn_index]).sum())

@@ -12,20 +12,13 @@ CSV output (modulo the ``elapsed_ms`` column).
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, fields
 
-from .dep_tests import (
-    METHODS,
-    dcor_test_permutation,
-    xi_test_asymptotic,
-    xi_test_permutation,
-)
+from .dep_tests import METHODS, run_test
 from .errors import DatasetFormatError, InvalidInputError
 from .manifold_gen import (
     CASES,
@@ -36,6 +29,7 @@ from .manifold_gen import (
     matrix_hash,
 )
 from .null_constants import default_null_constants
+from .rngs import parallel_map
 
 CSV_HEADER = "case,transform,m,rho,method,n,reps,rejection_rate,mc_stderr,r_matrix_hash,elapsed_ms"
 
@@ -160,16 +154,9 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
                             r_seed=config.master_seed)
         data = generate(spec)
         for k, method in enumerate(config.methods):
-            seed = (config.master_seed, cell_index, rep, 1 + k)
-            if method == "xi_asymptotic":
-                res = xi_test_asymptotic(data.x, data.y, m, config.alpha, constants,
-                                         tail=config.xi_tail)
-            elif method == "xi_permutation":
-                res = xi_test_permutation(data.x, data.y, config.alpha,
-                                          B=config.B, seed=seed)
-            else:
-                res = dcor_test_permutation(data.x, data.y, config.alpha,
-                                            B=config.B, seed=seed)
+            res = run_test(method, data.x, data.y, config.alpha, m=m,
+                           constants=constants, tail=config.xi_tail, B=config.B,
+                           seed=(config.master_seed, cell_index, rep, 1 + k))
             counts[method] += res.reject
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     records = []
@@ -195,10 +182,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     if "xi_asymptotic" in config.methods:
         for m in sorted(set(config.m_grid)):
             default_null_constants(m)  # warm the cache once, off the pool
-    workers = config.threads or min(32, os.cpu_count() or 1)
-    results: dict[int, list[PowerRecord]] = {}
 
-    def run(item):
+    def run(item) -> list[PowerRecord]:
         index, (case, transform, m, rho) = item
         records = _run_cell(index, case, transform, m, rho, config)
         if log is not None:
@@ -207,16 +192,10 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
                        else f"rate={rec.rejection_rate:.4f}")
                 log(f"{rec.case}/{rec.transform} m={rec.m} rho={rec.rho:g} "
                     f"{rec.method}: {tag}")
-        results[index] = records
+        return records
 
-    if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, cells))
-    else:
-        for item in cells:
-            run(item)
-
-    flat = [rec for index in sorted(results) for rec in results[index]]
+    flat = [rec for records in parallel_map(run, cells, config.threads)
+            for rec in records]
     flat.sort(key=lambda r: (r.case, r.transform, r.m, r.rho, r.method))
     return flat
 

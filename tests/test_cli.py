@@ -87,6 +87,17 @@ def test_test_requires_dim_for_asymptotic(three_points, capsys):
     capsys.readouterr()
 
 
+def test_test_non_finite_predictor_exits_one(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    rows = [f"{i}.0,{i}.0" for i in range(10)]
+    rows[4] = "4.0,nan"
+    path.write_text("y,x1\n" + "\n".join(rows) + "\n")
+    assert cli_dispatch(["test", "--input", path.as_posix(), "--method",
+                         "dcor_permutation", "--permutations", "39"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
 def test_test_permutation_json_record(tmp_path, capsys):
     rng = np.random.default_rng(0)
     path = tmp_path / "d.csv"

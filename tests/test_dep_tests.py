@@ -17,7 +17,7 @@ from manifold_xi import (
     xi_test_asymptotic,
     xi_test_permutation,
 )
-from manifold_xi.dep_tests import result_as_dict
+from manifold_xi.dep_tests import METHODS, result_as_dict, run_test
 
 EXACT_1D = null_variance(1, source="closed_form")
 
@@ -213,6 +213,22 @@ class TestDcorPermutation:
         res = dcor_test_permutation(x, np.zeros(20), B=39, seed=0)
         assert res.p_value == 1.0 and res.statistic == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x_refused(self, bad):
+        x = np.random.default_rng(22).random((20, 1))
+        x[3, 0] = bad
+        y = np.arange(20.0)
+        with pytest.raises(InvalidInputError):
+            dcor_stats(x, y)
+        with pytest.raises(InvalidInputError):
+            dcor_test_permutation(x, y, B=39)
+
+    def test_scalar_x_refused(self):
+        with pytest.raises(InvalidInputError):
+            dcor_stats(1.0, np.arange(5.0))
+        with pytest.raises(InvalidInputError):
+            dcor_test_permutation(1.0, np.arange(5.0), B=39)
+
     def test_null_size_is_honest(self):
         rng = np.random.default_rng(20)
         rejections = 0
@@ -240,6 +256,25 @@ class TestAsymptoticPermutationAgreement:
             rej_asym += xi_test_asymptotic(x, y, m, constants=constants).reject
             rej_perm += xi_test_permutation(x, y, B=199, seed=(8, m, rep)).reject
         assert abs(rej_asym - rej_perm) / reps < 0.02
+
+
+class TestRunTest:
+    def test_dispatches_every_method(self):
+        rng = np.random.default_rng(23)
+        x = rng.random((30, 1))
+        y = rng.random(30)
+        for method in METHODS:
+            res = run_test(method, x, y, m=1, constants=EXACT_1D, B=39, seed=5)
+            assert res.method == method
+        assert run_test("dcor_permutation", x, y, B=39, seed=5) == \
+            dcor_test_permutation(x, y, B=39, seed=5)
+
+    def test_refuses_unknown_method_and_missing_dimension(self):
+        x, y = np.arange(10.0), np.arange(10.0)
+        with pytest.raises(InvalidInputError):
+            run_test("pearson", x, y)
+        with pytest.raises(InvalidInputError):
+            run_test("xi_asymptotic", x, y)
 
 
 class TestResultRecord:

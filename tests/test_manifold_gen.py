@@ -158,15 +158,13 @@ class TestUniformManifoldSampler:
         assert pts.var() == pytest.approx(1.0 / 12.0, rel=0.05)
 
     def test_deterministic(self):
-        a = sample_uniform_manifold(2, 1000, geometry="torus", seed=10)
-        b = sample_uniform_manifold(2, 1000, geometry="torus", seed=10)
+        a = sample_uniform_manifold(2, 1000, seed=10)
+        b = sample_uniform_manifold(2, 1000, seed=10)
         assert (a.points == b.points).all()
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             sample_uniform_manifold(0, 10)
-        with pytest.raises(InvalidInputError):
-            sample_uniform_manifold(1, 10, geometry="klein-bottle")
 
 
 class TestDatasetCsv:

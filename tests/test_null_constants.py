@@ -20,7 +20,7 @@ from manifold_xi import (
     reg_incomplete_beta,
     union_volume,
 )
-from manifold_xi.null_constants import _betainc, write_constants_csv
+from manifold_xi.null_constants import write_constants_csv
 
 
 class TestRegIncompleteBeta:
@@ -51,15 +51,6 @@ class TestRegIncompleteBeta:
             reg_incomplete_beta(0.5, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             reg_incomplete_beta(0.5, 1.0, -2.0)
-
-    def test_against_scipy_grid(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            a = math.exp(rng.uniform(math.log(0.05), math.log(150)))
-            b = math.exp(rng.uniform(math.log(0.05), math.log(150)))
-            x = rng.random(32)
-            np.testing.assert_allclose(_betainc(a, b, x), special.betainc(a, b, x),
-                                       atol=1e-10, rtol=0)
 
     @given(a=st.floats(0.1, 60.0), b=st.floats(0.1, 60.0), x=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
