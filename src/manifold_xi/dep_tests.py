@@ -27,6 +27,8 @@ METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
 
 DEFAULT_PERMUTATIONS = 199
 
+_DCOR_BLOCK_ENTRIES = 2**17  # bound on (permutations x n x n) dcor scratch
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -80,9 +82,9 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     """Asymptotic test of independence for known intrinsic dimension ``m``.
 
     Computes ``z = sqrt(n) * xi_n / sigma(m)``.  The default is
-    right-tailed (``p = 1 - Phi(z)``): the population coefficient is zero
+    right-tailed (``p = Phi(-z)``): the population coefficient is zero
     exactly under independence and positive under dependence, so that is
-    where the power lives.  ``tail="two_sided"`` (``p = 2(1 - Phi(|z|))``)
+    where the power lives.  ``tail="two_sided"`` (``p = 2 Phi(-|z|)``)
     instead rejects for large ``|z|``; use it to reproduce power studies
     whose thresholds were the two-sided normal critical values.
     ``constants`` defaults to the cached Monte-Carlo constants for ``m``
@@ -105,10 +107,11 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         constants = default_null_constants(m)
     stat = xi_n(x, y)
     z = math.sqrt(stat.n) * stat.value / math.sqrt(constants.sigma2)
+    # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.
     if tail == "right":
-        p = 1.0 - normal_cdf(z)
+        p = float(special.ndtr(-z))
     else:
-        p = 2.0 * (1.0 - normal_cdf(abs(z)))
+        p = 2.0 * float(special.ndtr(-abs(z)))
     return TestResult(method="xi_asymptotic", statistic=stat.value, p_value=p,
                       reject=p <= alpha, alpha=alpha, z_score=z, m_used=m)
 
@@ -151,12 +154,12 @@ def _centred_distances(a: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
 
 
-def _dcor_parts(x, y) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Validate a pair for distance correlation and return its centred
-    distance matrices ``a`` and ``b``, the distance variances of ``x`` and
-    ``y``, and their geometric mean (the normaliser)."""
-    cloud, y = _validate_pair(x, y, min_n=4)
-    a = _centred_distances(cloud.points)
+def _dcor_parts(points: np.ndarray, y: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Centred distance matrices ``a`` and ``b`` of a validated pair, the
+    distance variances of ``x`` and ``y``, and their geometric mean (the
+    normaliser)."""
+    a = _centred_distances(points)
     b = _centred_distances(y)
     dvar_x = float((a * a).mean())
     dvar_y = float((b * b).mean())
@@ -171,7 +174,8 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     by the geometric mean of the two self-products.  A constant ``x`` or
     ``y`` makes the normalizer zero; that degenerate case reports 0.
     """
-    a, b, dvar_x, dvar_y, norm = _dcor_parts(x, y)
+    cloud, y = _validate_pair(x, y, min_n=4)
+    a, b, dvar_x, dvar_y, norm = _dcor_parts(cloud.points, y)
     dcov2 = max(float((a * b).mean()), 0.0)
     if norm <= 0.0:
         return DistanceCorrelation(0.0, dcov2, dvar_x, dvar_y, degenerate=True)
@@ -184,31 +188,105 @@ def dcor_statistic(x, y) -> float:
     return dcor_stats(x, y).dcor2
 
 
+def _permuted_cross(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
+    """Mean of ``a * b`` after relabelling ``b``'s rows and columns by ``perm``."""
+    return float((a * b[perm][:, perm]).mean())
+
+
+def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
+    """Bound on ``|sum(a * |z_i - z_j|) - n^2 * _permuted_cross(a, b, p)|``
+    over all permutations ``p`` (``z = y[p]``), plus the rounding of
+    ``n^2 * observed``.
+
+    Write ``P = ptp(y)``, ``A = sum|a|``, ``N = n^2`` and ``u`` for the unit
+    roundoff.  ``b = D - r - c + mean(D)`` with row and column means
+    ``r``, ``c`` of the distance matrix ``D``, all in ``[0, P]``, so
+    ``sum_ij a_ij b[p_i, p_j] = sum_ij a_ij D[p_i, p_j] - sum_i r[p_i] rs_i
+    - sum_j c[p_j] cs_j + mean(D) sum(a)``.  The row sums ``rs`` and column
+    sums ``cs`` of ``a`` vanish only in exact arithmetic; the centring terms
+    add at most ``P * R`` with the measured ``R = sum|rs| + sum|cs| +
+    |sum(a)|``.  First-order rounding, in units of ``u * A * P``:
+
+    * ``R`` itself: ``2n + N``;
+    * the fast side, distances and the length-``N`` dot product: ``1 + N``;
+    * ``b``: its distances ``3`` and its three centring operations ``5``;
+    * the exact mean (``|b| <= 2P``): products, sum and division
+      ``2(N + 2)``; ``n^2 * observed``: ``2``.
+
+    The total, ``4N + 2n + 15``, is below ``4k`` with ``k = N + n + 4``, so
+    the bound is ``2 P (R + 4 g A)`` with ``g = k u / (1 - k u)``.  The
+    factor 2 covers second-order terms and the rounding of the bound
+    itself.  A non-finite bound (``P`` overflows) sends every permutation
+    to the exact re-check.
+    """
+    n2 = a.size
+    k = n2 + a.shape[0] + 4
+    u = np.finfo(float).eps / 2.0
+    g = k * u / (1.0 - k * u)
+    residual = (np.abs(a.sum(axis=1)).sum() + np.abs(a.sum(axis=0)).sum()
+                + abs(a.sum()))
+    return 2.0 * float(np.ptp(y)) * float(residual + 4.0 * g * np.abs(a).sum())
+
+
 def dcor_test_permutation(x, y, alpha: float = 0.05,
                           B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
     """Permutation test on the squared distance correlation.
 
-    The centered distance matrix of ``x`` is computed once; permuting the
-    sample relabels rows and columns of the centered ``y`` matrix, which
-    leaves both normalizers invariant, so only the cross product is
-    recomputed per permutation.
+    The centred distance matrix ``a`` of ``x`` is computed once; permuting
+    the sample relabels rows and columns of the centred ``y`` matrix ``b``,
+    which leaves both normalisers invariant, so only the cross product
+    ``mean(a * b[p][:, p])`` changes.  The p-value is ``(1 + k) / (B + 1)``
+    with ``k`` the number of permutations whose cross product is at least
+    the observed one.
+
+    No permuted copy of ``b`` is built.  Because ``a`` is double-centred,
+    ``sum(a * b[p][:, p]) = sum_ij a_ij |y[p_i] - y[p_j]|`` in exact
+    arithmetic, so each permutation costs one fill of ``|z_i - z_j|`` and
+    one BLAS dot product.  That fast value decides a permutation only when
+    it clears ``n^2 * observed`` by a worst-case bound on its rounding and
+    on the centring terms that vanish only in exact arithmetic (see
+    :func:`_dcor_slack`); any permutation inside the bound is re-decided
+    with the exact cross product, so the p-value is the one the direct
+    loop gives.  Permutations are the ``B`` successive
+    ``substream(seed).permutation(n)`` draws, drawn in one call, and the
+    fast values are filled in blocks of at most ``_DCOR_BLOCK_ENTRIES``
+    scratch entries.
     """
     _check_alpha(alpha)
     if B < 19:
         raise InvalidInputError(f"need B >= 19 permutations, got {B}")
-    a, b, _, _, norm = _dcor_parts(x, y)
-    n = b.shape[0]
+    cloud, y = _validate_pair(x, y, min_n=4)
+    a, b, _, _, norm = _dcor_parts(cloud.points, y)
+    n = cloud.n
     if norm <= 0.0:
         # Degenerate input: every permuted statistic equals the observed 0.
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
     observed = float((a * b).mean())
-    rng = substream(seed)
-    exceed = 0
-    for _ in range(B):
-        perm = rng.permutation(n)
-        if float((a * b[np.ix_(perm, perm)]).mean()) >= observed:
-            exceed += 1
+    perms = substream(seed).permuted(np.tile(np.arange(n), (B, 1)), axis=1)
+    fast = np.empty(B)
+    block = max(1, min(B, _DCOR_BLOCK_ENTRIES // (n * n)))
+    # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
+    # are exact, so each entry is the rounded z_i - z_j, and BLAS fills it
+    # several times faster than a broadcast subtraction.
+    lhs = np.ones((block, n, 2))
+    rhs = np.ones((block, 2, n))
+    scratch = np.empty((block, n, n))
+    a_flat = a.ravel()
+    for start in range(0, B, block):
+        z = y[perms[start:start + block]]
+        m = len(z)
+        lhs[:m, :, 0] = z
+        np.negative(z, out=rhs[:m, 1])
+        dist = np.matmul(lhs[:m], rhs[:m], out=scratch[:m])
+        np.abs(dist, out=dist)
+        fast[start:start + m] = dist.reshape(m, -1) @ a_flat
+    gap = fast - n * n * observed
+    slack = _dcor_slack(a, y)
+    above = gap > slack
+    exceed = int(above.sum())
+    for i in np.flatnonzero(~(above | (gap < -slack))):
+        exceed += _permuted_cross(a, b, perms[i]) >= observed
     p = (1.0 + exceed) / (B + 1.0)
     stat = min(max(observed, 0.0) / norm, 1.0)
     return TestResult(method="dcor_permutation", statistic=stat, p_value=p,

@@ -34,7 +34,7 @@ TREE_DIMENSION_LIMIT = 20
 # relative rounding error of a few ulps; 1e-9 is orders of magnitude wider.
 _TIE_RTOL = 1e-9
 
-_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x n) scratch per brute block
+_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x n x d) scratch per brute block
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _torus_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _nn_brute(pts: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     nn = np.empty(n, dtype=np.int64)
-    block = max(1, _BRUTE_BLOCK_ENTRIES // n)
+    block = max(1, _BRUTE_BLOCK_ENTRIES // (n * pts.shape[1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
         d2 = _sqdist(pts[start:stop, None, :], pts[None, :, :])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from manifold_xi import (
     DegenerateInputError,
@@ -17,9 +17,40 @@ from manifold_xi import (
     xi_test_asymptotic,
     xi_test_permutation,
 )
-from manifold_xi.dep_tests import METHODS, result_as_dict, run_test
+from manifold_xi import dep_tests
+from manifold_xi.dep_tests import METHODS, _centred_distances, result_as_dict, run_test
+from manifold_xi.rngs import substream
 
 EXACT_1D = null_variance(1, source="closed_form")
+
+
+def dcor_permutation_by_gather(x, y, B, seed):
+    """Reference dcor permutation test: gather the relabelled centred ``y``
+    matrix for every permutation.  Returns ``(statistic, p_value)``."""
+    a = _centred_distances(np.asarray(x, dtype=float))
+    b = _centred_distances(np.asarray(y, dtype=float))
+    norm = math.sqrt(float((a * a).mean()) * float((b * b).mean()))
+    observed = float((a * b).mean())
+    rng = substream(seed)
+    exceed = 0
+    for _ in range(B):
+        perm = rng.permutation(len(y))
+        if float((a * b[np.ix_(perm, perm)]).mean()) >= observed:
+            exceed += 1
+    return min(max(observed, 0.0) / norm, 1.0), (1.0 + exceed) / (B + 1.0)
+
+
+def dcor_case(kind, n, rng):
+    """A dependent pair of size ``n``, altered as ``kind`` says."""
+    x = rng.random((n, 2))
+    y = x[:, 0] + 0.5 * rng.random(n)
+    if kind == "tied":
+        y = rng.permutation(np.arange(n) % 3).astype(float)
+    elif kind == "outlier":
+        y[0] = 1e12
+    elif kind == "duplicate_x":
+        x[n // 2:] = x[:n - n // 2]
+    return x, y
 
 
 class TestNormalHelpers:
@@ -61,6 +92,15 @@ class TestXiAsymptotic:
         assert res.p_value == pytest.approx(1 - normal_cdf(expected_z), abs=1e-14)
         assert res.reject == (res.p_value <= 0.05)
         assert res.method == "xi_asymptotic" and res.m_used == 1
+
+    def test_far_tail_p_value_stays_positive(self):
+        # z ~ 21.5, where 1 - Phi(z) rounds to exactly 0 but Phi(-z) ~ 5e-103.
+        x = np.random.default_rng(2).random((500, 1))
+        right = xi_test_asymptotic(x, x[:, 0], m=1, constants=EXACT_1D)
+        assert 0.0 < right.p_value == special.ndtr(-right.z_score)
+        both = xi_test_asymptotic(x, x[:, 0], m=1, constants=EXACT_1D,
+                                  tail="two_sided")
+        assert 0.0 < both.p_value == 2.0 * special.ndtr(-abs(both.z_score))
 
     def test_z_monotone_in_statistic(self):
         x = np.arange(1.0, 101.0)[:, None]
@@ -228,6 +268,54 @@ class TestDcorPermutation:
             dcor_stats(1.0, np.arange(5.0))
         with pytest.raises(InvalidInputError):
             dcor_test_permutation(1.0, np.arange(5.0), B=39)
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
+    @pytest.mark.parametrize("B", [19, 199])
+    @pytest.mark.parametrize("n", [4, 5, 30, 100, 400])
+    def test_equals_the_gather_loop(self, n, B, kind):
+        x, y = dcor_case(kind, n, np.random.default_rng(n))
+        res = dcor_test_permutation(x, y, B=B, seed=n + B)
+        assert (res.statistic, res.p_value) == dcor_permutation_by_gather(x, y, B, n + B)
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
+    def test_slack_bounds_the_gather_free_value(self, kind):
+        n = 30
+        x, y = dcor_case(kind, n, np.random.default_rng(7))
+        a = _centred_distances(x)
+        b = _centred_distances(y)
+        slack = dep_tests._dcor_slack(a, y)
+        rng = substream(7)
+        for perm in [np.arange(n)] + [rng.permutation(n) for _ in range(50)]:
+            z = y[perm]
+            fast = float((a * np.abs(z[:, None] - z[None, :])).sum())
+            assert abs(fast - n * n * dep_tests._permuted_cross(a, b, perm)) <= slack
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_exact_recheck_decides_repeated_identity(self, n, monkeypatch):
+        # A drawn identity permutation reproduces the observed statistic, so
+        # its fast value lies inside the rounding slack and must be re-checked.
+        rechecked = []
+        exact = dep_tests._permuted_cross
+
+        def recording(a, b, perm):
+            rechecked.append(tuple(perm))
+            return exact(a, b, perm)
+
+        monkeypatch.setattr(dep_tests, "_permuted_cross", recording)
+        x, y = dcor_case("continuous", n, np.random.default_rng(n))
+        res = dcor_test_permutation(x, y, B=199, seed=3)
+        rng = substream(3)
+        assert any((rng.permutation(n) == np.arange(n)).all() for _ in range(199))
+        assert tuple(range(n)) in rechecked
+        assert (res.statistic, res.p_value) == dcor_permutation_by_gather(x, y, 199, 3)
+
+    @pytest.mark.parametrize("n", [2, 100, 10**5])
+    def test_batched_draws_match_successive_permutations(self, n):
+        # The kernel draws all B permutations in one call; if numpy ever
+        # changes this, every dcor p-value moves.
+        batched = substream(11).permuted(np.tile(np.arange(n), (3, 1)), axis=1)
+        rng = substream(11)
+        assert np.array_equal(batched, [rng.permutation(n) for _ in range(3)])
 
     def test_null_size_is_honest(self):
         rng = np.random.default_rng(20)

@@ -12,6 +12,7 @@ from manifold_xi import (
     estimate_constants_empirical,
     nn_pair_limit,
 )
+from manifold_xi import nn_graph
 from manifold_xi.nn_graph import _nn_brute, _nn_tree, _torus_sqdist
 
 
@@ -105,6 +106,25 @@ class TestTreeBruteEquivalence:
         a = build_nn_graph(pts, method="tree")
         b = build_nn_graph(pts, method="brute")
         assert (a.nn_index == b.nn_index).all()
+
+    def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n, d = 60, 5
+        pts = rng.standard_normal((n, d))
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
+        one_block = _nn_brute(pts)
+        scratch = []
+        exact = nn_graph._sqdist
+
+        def recording(a, b):
+            out = exact(a, b)
+            scratch.append(out.size * d)  # each (rows, n, d) temporary
+            return out
+
+        monkeypatch.setattr(nn_graph, "_sqdist", recording)
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
+        assert (_nn_brute(pts) == one_block).all()
+        assert len(scratch) == -(-n // 7) and max(scratch) <= 7 * n * d
 
     @given(st.lists(st.integers(-8, 8), min_size=2, max_size=25))
     @settings(max_examples=150, deadline=None)
