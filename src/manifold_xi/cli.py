@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xi", help="print the coefficient for a dataset")
     p.add_argument("--input", required=True, help="CSV with header y,x1..xD")
-    p.add_argument("--method", choices=("auto", "brute", "tree"), default="auto")
 
     p = sub.add_parser("test", help="run one independence test")
     p.add_argument("--input", required=True, help="CSV with header y,x1..xD")
@@ -126,7 +125,7 @@ def _cmd_constants(args) -> int:
 def _cmd_xi(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         x, y = read_dataset_csv(fh)
-    print(f"{xi_n(x, y, method=args.method).value:.10g}")
+    print(f"{xi_n(x, y).value:.10g}")
     return 0
 
 

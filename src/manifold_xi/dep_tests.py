@@ -18,9 +18,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInputError, InvalidInputError
-from .nn_graph import build_nn_graph
+from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import _validate_pair, _validate_response, compute_ranks, xi_n
+from .rank_xi import (_validate_pair, _validate_response, _xi_from_ranks,
+                      compute_ranks, xi_n)
 from .rngs import substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -132,25 +133,23 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     n = cloud.n
     nn = build_nn_graph(cloud).nn_index
     ranks = compute_ranks(y)
-    observed = int(np.minimum(ranks, ranks[nn]).sum())
+    observed, value = _xi_from_ranks(ranks, nn)
     rng = substream(seed)
     exceed = 0
     for _ in range(B):
-        permuted = ranks[rng.permutation(n)]
-        if int(np.minimum(permuted, permuted[nn]).sum()) >= observed:
+        if _xi_from_ranks(ranks[rng.permutation(n)], nn)[0] >= observed:
             exceed += 1
     p = (1.0 + exceed) / (B + 1.0)
-    value = 6.0 * observed / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
     return TestResult(method="xi_permutation", statistic=value, p_value=p,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
 
 
 def _centred_distances(a: np.ndarray) -> np.ndarray:
-    """Double-centred Euclidean distance matrix of the rows of ``a``."""
+    """Double-centred Euclidean distance matrix of the rows of ``a``
+    (distances from the row-blocked :func:`_pairwise_sqdist`)."""
     if a.ndim == 1:
         a = a[:, None]
-    diff = a[:, None, :] - a[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    d = np.sqrt(_pairwise_sqdist(a))
     return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
 
 

@@ -1,8 +1,10 @@
 """Directed nearest-neighbor graphs and their motif counts.
 
 Each point gets exactly one outgoing edge, to its Euclidean nearest
-neighbor (distance ties broken by smallest index).  Two structural motifs
-of this graph drive the null variance of the rank correlation coefficient:
+neighbor (distance ties broken by smallest index), found by one exact
+kd-tree kernel for every sample size and ambient dimension.  Two
+structural motifs of this graph drive the null variance of the rank
+correlation coefficient:
 
 * mutual pairs  — ordered ``(i, j)`` with ``i -> j`` and ``j -> i``;
 * shared-parent triples — ordered distinct ``(i, j, k)`` with ``i -> k``
@@ -25,16 +27,12 @@ from scipy.spatial import cKDTree
 from .errors import DuplicatePointsError, InvalidInputError
 from .rngs import parallel_map, substream
 
-# Above this ambient dimension an axis-aligned tree degrades to a linear
-# scan anyway, so the tree method silently falls back to brute force.
-TREE_DIMENSION_LIMIT = 20
-
 # Relative slack used when deciding whether the tree's candidate list
 # provably contains the exact nearest neighbor.  Squared distances carry a
 # relative rounding error of a few ulps; 1e-9 is orders of magnitude wider.
 _TIE_RTOL = 1e-9
 
-_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x n x d) scratch per brute block
+_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch per block
 
 
 @dataclass(frozen=True)
@@ -138,18 +136,24 @@ def _torus_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=-1)
 
 
-def _nn_brute(pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[0]
-    nn = np.empty(n, dtype=np.int64)
-    block = max(1, _BRUTE_BLOCK_ENTRIES // (n * pts.shape[1]))
+def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
+    """Exact ``(n, n)`` squared distances between the rows of ``pts``,
+    filled by :func:`_sqdist` in row blocks of ``(rows, n, d)`` scratch
+    within ``_BRUTE_BLOCK_ENTRIES``; the block size changes no value."""
+    n, d = pts.shape
+    out = np.empty((n, n))
+    block = max(1, _BRUTE_BLOCK_ENTRIES // (n * d))
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = _sqdist(pts[start:stop, None, :], pts[None, :, :])
-        rows = np.arange(stop - start)
-        d2[rows, start + rows] = np.inf
-        # np.argmin returns the first minimum, i.e. the smallest index.
-        nn[start:stop] = d2.argmin(axis=1)
-    return nn
+        out[start:start + block] = _sqdist(pts[start:start + block, None, :], pts)
+    return out
+
+
+def _nn_brute(pts: np.ndarray) -> np.ndarray:
+    """All-pairs nearest neighbors, the reference :func:`_nn_tree` must equal."""
+    d2 = _pairwise_sqdist(pts)
+    np.fill_diagonal(d2, np.inf)
+    # np.argmin returns the first minimum, i.e. the smallest index.
+    return d2.argmin(axis=1)
 
 
 def _nn_brute_row(pts: np.ndarray, i: int) -> int:
@@ -158,21 +162,25 @@ def _nn_brute_row(pts: np.ndarray, i: int) -> int:
     return int(d2.argmin())
 
 
-def _nn_tree(pts: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Tree-accelerated nearest neighbors, identical to :func:`_nn_brute`.
+def _nn_tree(pts: np.ndarray) -> np.ndarray:
+    """Exact kd-tree nearest neighbors, identical to :func:`_nn_brute`.
 
-    The tree proposes up to ``k`` candidates per point; exact squared
-    distances are recomputed with :func:`_sqdist` and the smallest-index
-    tie rule applied.  A row falls back to a brute scan whenever its
-    candidate list cannot provably contain the exact nearest neighbor
-    (more near-ties than candidates).
+    For any ``n`` and ``d``, the tree proposes up to ``k = 8`` candidates
+    per point; their exact squared distances are recomputed with
+    :func:`_sqdist` (in row blocks of ``(rows, k, d)`` scratch within
+    ``_BRUTE_BLOCK_ENTRIES``) and the smallest-index tie rule applied.  A
+    row falls back to a brute scan whenever its candidate list cannot
+    provably contain the exact nearest neighbor (more near-ties than
+    candidates).
     """
-    n = pts.shape[0]
+    n, d = pts.shape
     k = min(n, 8)
-    tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=k, workers=workers)
-    cand = idx.astype(np.int64)
-    d2 = _sqdist(pts[cand], pts[:, None, :])
+    dist, cand = cKDTree(pts).query(pts, k=k)
+    d2 = np.empty((n, k))
+    block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        d2[rows] = _sqdist(pts[cand[rows]], pts[rows, None, :])
     d2[cand == np.arange(n)[:, None]] = np.inf  # mask self wherever it appears
     best = d2.min(axis=1)
     nn = np.where(d2 <= best[:, None], cand, n).min(axis=1)
@@ -187,38 +195,27 @@ def _nn_tree(pts: np.ndarray, workers: int = 1) -> np.ndarray:
     return nn
 
 
-def build_nn_graph(cloud, method: str = "auto", strict: bool = False,
-                   workers: int = 1) -> NnGraph:
+def build_nn_graph(cloud, strict: bool = False) -> NnGraph:
     """Build the directed Euclidean nearest-neighbor graph.
+
+    The kd-tree kernel :func:`_nn_tree` runs for every ``n`` and ``d``.
+    It re-verifies its candidates with exact distances and breaks ties by
+    smallest index, so the graph equals the all-pairs scan on any input.
 
     Parameters
     ----------
     cloud : PointCloud or (n, d) array_like
         At least two points with finite coordinates.
-    method : {"auto", "brute", "tree"}
-        ``brute`` scans all pairs; ``tree`` uses a kd-tree with exact
-        re-verification.  Both produce identical output on any input
-        (ties broken by smallest index); ``auto`` picks by problem size.
-        For ambient dimension above ``TREE_DIMENSION_LIMIT`` the tree
-        method silently falls back to brute force.
     strict : bool
         If true, duplicate rows raise :class:`DuplicatePointsError`
         instead of being resolved as zero-distance ties.
-    workers : int
-        Worker threads for the tree query (brute force ignores it).
 
     Returns
     -------
     NnGraph
     """
     cloud = as_point_cloud(cloud, strict=strict)
-    pts = cloud.points
-    if method not in ("auto", "brute", "tree"):
-        raise InvalidInputError(f"unknown method {method!r}")
-    use_tree = method == "tree" or (method == "auto" and cloud.n > 600)
-    if cloud.d > TREE_DIMENSION_LIMIT:
-        use_tree = False
-    nn = _nn_tree(pts, workers=workers) if use_tree else _nn_brute(pts)
+    nn = _nn_tree(cloud.points)
     return NnGraph(nn_index=nn, in_degree=np.bincount(nn, minlength=cloud.n))
 
 
@@ -277,8 +274,8 @@ def estimate_constants_empirical(m: int, n: int, reps: int,
 
     def one(rep: int) -> tuple[float, float]:
         nn = _nn_uniform_sample(m, n, geometry, substream(seed, rep))
-        deg = np.bincount(nn, minlength=n)
-        return (nn[nn] == np.arange(n)).sum() / n, (deg * (deg - 1)).sum() / n
+        mc = count_motifs(NnGraph(nn, np.bincount(nn, minlength=n)))
+        return mc.pair_count / n, mc.triple_count / n
 
     pair, triple = np.array(parallel_map(one, range(reps), threads)).T
 

@@ -81,7 +81,14 @@ def compute_ranks(y, strict: bool = False) -> np.ndarray:
     return ranks
 
 
-def xi_n(x, y, method: str = "auto", strict: bool = False) -> XiStatistic:
+def _xi_from_ranks(ranks: np.ndarray, nn: np.ndarray) -> tuple[int, float]:
+    """Exact rank sum ``sum_i min(R_i, R_N(i))`` and the coefficient it gives."""
+    n = ranks.shape[0]
+    rank_sum = int(np.minimum(ranks, ranks[nn]).sum())
+    return rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
+
+
+def xi_n(x, y, strict: bool = False) -> XiStatistic:
     """Evaluate the coefficient on predictors ``x`` and responses ``y``.
 
     Parameters
@@ -90,23 +97,19 @@ def xi_n(x, y, method: str = "auto", strict: bool = False) -> XiStatistic:
         Predictor rows; a 1-D array is treated as a single column.
     y : (n,) array_like
         Responses, same length.
-    method : {"auto", "brute", "tree"}
-        Nearest-neighbor construction, see :func:`build_nn_graph`.
     strict : bool
         Reject duplicate predictor rows and tied responses.
 
     Notes
     -----
-    Requires ``n >= 3``.  Distance ties break toward the smallest index,
-    so the value is deterministic on any input.
+    Requires ``n >= 3``.  The graph is the exact kd-tree one of
+    :func:`build_nn_graph` for every ``n`` and ``d``; distance ties break
+    toward the smallest index, so the value is deterministic on any input.
     """
     cloud, y = _validate_pair(x, y, min_n=3, strict=strict)
-    n = cloud.n
-    graph = build_nn_graph(cloud, method=method, strict=strict)
-    ranks = compute_ranks(y, strict=strict)
-    rank_sum = int(np.minimum(ranks, ranks[graph.nn_index]).sum())
-    value = 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
-    return XiStatistic(value=value, n=n)
+    graph = build_nn_graph(cloud, strict=strict)
+    _, value = _xi_from_ranks(compute_ranks(y, strict=strict), graph.nn_index)
+    return XiStatistic(value=value, n=cloud.n)
 
 
 def min_kernel_moments(samples: int, seed: int = 0) -> KernelMoments:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from manifold_xi import (
     xi_test_asymptotic,
     xi_test_permutation,
 )
-from manifold_xi import dep_tests
+from manifold_xi import dep_tests, nn_graph
 from manifold_xi.dep_tests import METHODS, _centred_distances, result_as_dict, run_test
 from manifold_xi.rngs import substream
 
@@ -220,6 +221,34 @@ class TestDistanceCorrelation:
     def test_small_sample_rejected(self):
         with pytest.raises(InvalidInputError):
             dcor_statistic(np.zeros((3, 1)), np.zeros(3))
+
+    @pytest.mark.parametrize("d", [1, 5, 17, 50])
+    def test_distance_blocks_bound_scratch_and_keep_values(self, d, monkeypatch):
+        rng = np.random.default_rng(16)
+        n = 120
+        x = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        diff = x[:, None, :] - x[None, :, :]  # the all-at-once reference
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        reference = (dist - dist.mean(axis=1, keepdims=True)
+                     - dist.mean(axis=0, keepdims=True) + dist.mean())
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
+        one_block = dcor_stats(x, y)
+        assert np.array_equal(_centred_distances(x), reference)
+        bound = 7 * n * d
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", bound)
+        tracemalloc.start()
+        try:
+            blocked = dcor_stats(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocked == one_block
+        assert np.array_equal(_centred_distances(x), reference)
+        # two (rows, n, d) block temporaries live at once, plus at most six
+        # (n, n) matrices: distances, a, b and the products dcor_stats
+        # averages.  The all-at-once difference alone is n * n * d entries.
+        assert peak <= 8 * (2 * bound + 6 * n * n)
 
 
 class TestDcorPermutation:

@@ -7,12 +7,15 @@ from manifold_xi import (
     DuplicatePointsError,
     InvalidInputError,
     PointCloud,
+    ScenarioSpec,
     build_nn_graph,
     count_motifs,
     estimate_constants_empirical,
+    generate,
     nn_pair_limit,
 )
 from manifold_xi import nn_graph
+from manifold_xi.manifold_gen import CASES
 from manifold_xi.nn_graph import _nn_brute, _nn_tree, _torus_sqdist
 
 
@@ -67,22 +70,27 @@ class TestBuildGraph:
 
     def test_duplicates_resolve_to_smallest_index_otherwise(self):
         pts = np.array([[5.0], [1.0], [1.0], [1.0]])
-        for method in ("brute", "tree"):
-            g = build_nn_graph(pts, method=method)
-            assert g.nn_index.tolist() == [1, 2, 1, 1]
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_nn_graph(np.eye(3), method="voronoi")
+        assert build_nn_graph(pts).nn_index.tolist() == [1, 2, 1, 1]
+        assert _nn_brute(pts).tolist() == [1, 2, 1, 1]
 
 
 class TestTreeBruteEquivalence:
-    @pytest.mark.parametrize("n,d", [(10, 1), (50, 2), (200, 8), (37, 3)])
+    @pytest.mark.parametrize("n,d", [(10, 1), (50, 2), (200, 8), (37, 3),
+                                     (100, 25), (100, 50), (60, 100)])
     def test_random_clouds(self, n, d):
         rng = np.random.default_rng(n * 31 + d)
         for _ in range(20):
             pts = rng.standard_normal((n, d))
             assert (_nn_tree(pts) == _nn_brute(pts)).all()
+
+    @pytest.mark.parametrize("transform", ["linear_embed", "manifold_embed"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    def test_desk_study_inputs(self, m, transform):
+        # the desk grid's own predictors: n=100 in d = 5m coordinates
+        for case in CASES:
+            for seed in range(4):
+                x = generate(ScenarioSpec(case, transform, m, 0.0, 100, seed=seed)).x
+                assert (_nn_tree(x) == _nn_brute(x)).all()
 
     def test_tie_heavy_lattice_clouds(self):
         # integer lattices maximize exact distance ties
@@ -99,13 +107,6 @@ class TestTreeBruteEquivalence:
         base = rng.standard_normal((12, 2))
         pts = np.vstack([base, base[rng.integers(0, 12, size=30)]])
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
-
-    def test_high_dimension_falls_back_to_brute(self):
-        rng = np.random.default_rng(11)
-        pts = rng.standard_normal((25, 30))
-        a = build_nn_graph(pts, method="tree")
-        b = build_nn_graph(pts, method="brute")
-        assert (a.nn_index == b.nn_index).all()
 
     def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -125,6 +126,12 @@ class TestTreeBruteEquivalence:
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
         assert (_nn_brute(pts) == one_block).all()
         assert len(scratch) == -(-n // 7) and max(scratch) <= 7 * n * d
+
+        # the tree's verification pass: (rows, k=8, d) temporaries
+        scratch.clear()
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 8 * d)
+        assert (_nn_tree(pts) == one_block).all()
+        assert len(scratch) == -(-n // 7) and max(scratch) <= 7 * 8 * d
 
     @given(st.lists(st.integers(-8, 8), min_size=2, max_size=25))
     @settings(max_examples=150, deadline=None)

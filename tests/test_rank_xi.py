@@ -10,6 +10,7 @@ from manifold_xi import (
     min_kernel_moments,
     xi_n,
 )
+from manifold_xi.nn_graph import _nn_brute
 
 
 class TestRanks:
@@ -59,7 +60,10 @@ class TestXiValue:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((150, 3))
         y = rng.standard_normal(150)
-        assert xi_n(x, y, method="brute").value == xi_n(x, y, method="tree").value
+        ranks = compute_ranks(y)
+        rank_sum = int(np.minimum(ranks, ranks[_nn_brute(x)]).sum())
+        brute = 6.0 * rank_sum / (150 * 150 - 1.0) - (2.0 * 150 + 1.0) / (150 - 1.0)
+        assert xi_n(x, y).value == brute
 
     def test_functional_dependence_approaches_one(self):
         rng = np.random.default_rng(1)
