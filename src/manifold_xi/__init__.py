@@ -10,11 +10,8 @@ __version__ = "0.1.0"
 
 from .dep_tests import (
     TestResult,
-    dcor_statistic,
     dcor_stats,
     dcor_test_permutation,
-    normal_cdf,
-    normal_quantile,
     xi_test_asymptotic,
     xi_test_permutation,
 )
@@ -35,7 +32,6 @@ from .manifold_gen import (
     generate,
     linear_embedding_matrix,
     matrix_hash,
-    sample_uniform_manifold,
     wshape,
 )
 from .nn_graph import (
@@ -59,7 +55,6 @@ from .null_constants import (
     nn_pair_limit,
     nn_triple_limit_mc,
     null_variance,
-    reg_incomplete_beta,
     union_volume,
 )
 from .rank_xi import KernelMoments, XiStatistic, compute_ranks, min_kernel_moments, xi_n
@@ -83,18 +78,17 @@ __all__ = [
     "XiStatistic", "KernelMoments", "compute_ranks", "xi_n",
     "min_kernel_moments",
     # null constants
-    "NullConstants", "BallGeometry", "reg_incomplete_beta", "ball_volume",
-    "union_volume", "nn_pair_limit", "nn_triple_limit_mc", "null_variance",
+    "NullConstants", "BallGeometry", "ball_volume", "union_volume",
+    "nn_pair_limit", "nn_triple_limit_mc", "null_variance",
     "default_null_constants", "ball_geometry", "REFERENCE_PAIR_LIMITS",
     "REFERENCE_TRIPLE_LIMITS", "TRIPLE_LIMIT_1D",
     # generators
     "ScenarioSpec", "GeneratedData", "gen_latent", "generate",
     "embed_linear", "embed_manifold", "linear_embedding_matrix",
-    "sample_uniform_manifold", "matrix_hash", "wshape",
+    "matrix_hash", "wshape",
     # tests
     "TestResult", "xi_test_asymptotic", "xi_test_permutation",
-    "dcor_statistic", "dcor_stats", "dcor_test_permutation",
-    "normal_cdf", "normal_quantile",
+    "dcor_stats", "dcor_test_permutation",
     # harness
     "ExperimentConfig", "PowerRecord", "run_experiment", "load_config",
     "records_to_csv",

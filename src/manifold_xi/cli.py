@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .dep_tests import METHODS, result_as_dict, run_test
+from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, result_as_dict, run_test
 from .errors import ManifoldXiError
 from .manifold_gen import (
     CASES,
@@ -35,6 +35,8 @@ from .manifold_gen import (
 )
 from .nn_graph import estimate_constants_empirical
 from .null_constants import (
+    DEFAULT_SEED,
+    DEFAULT_TRIPLE_SAMPLES,
     constants_as_dict,
     default_null_constants,
     null_variance,
@@ -54,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="null-variance constants table")
     p.add_argument("--m-max", type=int, default=10)
-    p.add_argument("--om-samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--om-samples", type=int, default=DEFAULT_TRIPLE_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--source", choices=("mc", "table"), default="mc")
     p.add_argument("--out", default=None,
                    help="output file (.json for JSON, CSV otherwise; default stdout)")
@@ -69,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None,
                    help="intrinsic dimension (required for xi_asymptotic)")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--permutations", type=int, default=199)
+    p.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", choices=("right", "two_sided"), default="right",
                    help="rejection tail for xi_asymptotic")
@@ -78,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="CSV output (default stdout)")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress progress lines (skipped cells still print)")
 
     p = sub.add_parser("verify-nng", help="empirical pair/triple frequencies")
     p.add_argument("--m", type=int, required=True)
@@ -106,10 +109,7 @@ def _cmd_constants(args) -> int:
         if args.source == "table":
             rows.append(null_variance(m, source="table"))
         else:
-            kwargs = {"o_samples": args.om_samples}
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            rows.append(null_variance(m, **kwargs))
+            rows.append(null_variance(m, o_samples=args.om_samples, seed=args.seed))
     if args.out and args.out.endswith(".json"):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([constants_as_dict(c) for c in rows], fh, indent=2)
@@ -207,10 +207,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ManifoldXiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ManifoldXiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

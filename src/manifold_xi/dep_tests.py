@@ -20,8 +20,7 @@ from scipy import special
 from .errors import DegenerateInputError, InvalidInputError
 from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import (_validate_pair, _validate_response, _xi_from_ranks,
-                      compute_ranks, xi_n)
+from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
 from .rngs import substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -60,18 +59,6 @@ class DistanceCorrelation:
     degenerate: bool
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF (:func:`scipy.special.ndtr`)."""
-    return float(special.ndtr(z))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (:func:`scipy.special.ndtri`) on ``(0, 1)``."""
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"p must lie in (0, 1), got {p}")
-    return float(special.ndtri(p))
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
@@ -93,6 +80,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
 
     Raises
     ------
+    InvalidInputError
+        If ``x`` or ``y`` is malformed; checked before the constants.
     DegenerateInputError
         If ``y`` is constant; the statistic is meaningless there.
     """
@@ -101,12 +90,12 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if tail not in ("right", "two_sided"):
         raise InvalidInputError(f"tail must be 'right' or 'two_sided', got {tail!r}")
-    y = _validate_response(y)
+    cloud, y = _validate_pair(x, y, min_n=3)
     if np.all(y == y[0]):
         raise DegenerateInputError("constant response: asymptotic test undefined")
     if constants is None:
         constants = default_null_constants(m)
-    stat = xi_n(x, y)
+    stat = xi_n(cloud, y)
     z = math.sqrt(stat.n) * stat.value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.
     if tail == "right":
@@ -180,11 +169,6 @@ def dcor_stats(x, y) -> DistanceCorrelation:
         return DistanceCorrelation(0.0, dcov2, dvar_x, dvar_y, degenerate=True)
     return DistanceCorrelation(min(max(dcov2 / norm, 0.0), 1.0),
                                dcov2, dvar_x, dvar_y, degenerate=False)
-
-
-def dcor_statistic(x, y) -> float:
-    """Squared sample distance correlation in ``[0, 1]`` (0 if degenerate)."""
-    return dcor_stats(x, y).dcor2
 
 
 def _permuted_cross(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
@@ -293,17 +277,18 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
 
 
 def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
-             constants: NullConstants | None = None, tail: str = "right",
-             B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
+             tail: str = "right", B: int = DEFAULT_PERMUTATIONS,
+             seed=0) -> TestResult:
     """Run the independence test named ``method`` (one of :data:`METHODS`).
 
-    ``m``, ``constants`` and ``tail`` go to the asymptotic test, which
-    requires ``m``; ``B`` and ``seed`` go to the permutation tests.
+    ``m`` and ``tail`` go to the asymptotic test, which requires ``m`` and
+    uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
+    to the permutation tests.
     """
     if method == "xi_asymptotic":
         if m is None:
             raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
-        return xi_test_asymptotic(x, y, m, alpha, constants, tail=tail)
+        return xi_test_asymptotic(x, y, m, alpha, tail=tail)
     if method == "xi_permutation":
         return xi_test_permutation(x, y, alpha, B=B, seed=seed)
     if method == "dcor_permutation":

@@ -10,11 +10,11 @@ class InvalidInputError(ManifoldXiError, ValueError):
 
 
 class DuplicatePointsError(InvalidInputError):
-    """A point cloud contains coincident rows and strict mode is enabled."""
+    """Duplicate predictor rows under ``xi_n(strict=True)``."""
 
 
 class TieError(InvalidInputError):
-    """The response vector contains exact ties and strict mode is enabled."""
+    """Exactly tied responses under ``xi_n(strict=True)``."""
 
 
 class DegenerateInputError(InvalidInputError):

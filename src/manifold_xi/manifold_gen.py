@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError
-from .nn_graph import PointCloud
 from .rngs import substream
 
 CASES = ("gaussian", "linear", "quadratic", "cosine", "wshape")
@@ -170,13 +169,6 @@ def generate(spec: ScenarioSpec) -> GeneratedData:
     else:
         x = embed_manifold(z)
     return GeneratedData(x=x, y=y, latent_z=z)
-
-
-def sample_uniform_manifold(m: int, n: int, seed: int = 0) -> PointCloud:
-    """``n`` i.i.d. uniform points on ``[0, 1]^m``."""
-    if m < 1 or n < 1:
-        raise InvalidInputError(f"m and n must be >= 1, got m={m}, n={n}")
-    return PointCloud(substream(seed).random((n, m)))
 
 
 def matrix_hash(a: np.ndarray) -> str:

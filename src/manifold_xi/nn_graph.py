@@ -70,12 +70,9 @@ class PointCloud:
         return self
 
 
-def as_point_cloud(x, strict: bool = False) -> PointCloud:
+def as_point_cloud(x) -> PointCloud:
     """Coerce an array (or pass through a :class:`PointCloud`) with validation."""
-    cloud = x if isinstance(x, PointCloud) else PointCloud(np.asarray(x, dtype=float))
-    if strict:
-        cloud.require_distinct()
-    return cloud
+    return x if isinstance(x, PointCloud) else PointCloud(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,13 +123,6 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     smallest-index tie rule is applied to identical floating-point values.
     """
     diff = a - b
-    return (diff * diff).sum(axis=-1)
-
-
-def _torus_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared wrap-around distance on the unit torus (coordinates in [0,1))."""
-    diff = np.abs(a - b)
-    diff = np.minimum(diff, 1.0 - diff)
     return (diff * diff).sum(axis=-1)
 
 
@@ -195,26 +185,25 @@ def _nn_tree(pts: np.ndarray) -> np.ndarray:
     return nn
 
 
-def build_nn_graph(cloud, strict: bool = False) -> NnGraph:
+def build_nn_graph(cloud) -> NnGraph:
     """Build the directed Euclidean nearest-neighbor graph.
 
     The kd-tree kernel :func:`_nn_tree` runs for every ``n`` and ``d``.
     It re-verifies its candidates with exact distances and breaks ties by
     smallest index, so the graph equals the all-pairs scan on any input.
+    Duplicate rows are zero-distance ties: each copy points to the
+    smallest-index other copy.
 
     Parameters
     ----------
     cloud : PointCloud or (n, d) array_like
         At least two points with finite coordinates.
-    strict : bool
-        If true, duplicate rows raise :class:`DuplicatePointsError`
-        instead of being resolved as zero-distance ties.
 
     Returns
     -------
     NnGraph
     """
-    cloud = as_point_cloud(cloud, strict=strict)
+    cloud = as_point_cloud(cloud)
     nn = _nn_tree(cloud.points)
     return NnGraph(nn_index=nn, in_degree=np.bincount(nn, minlength=cloud.n))
 

@@ -84,22 +84,6 @@ class BallGeometry:
     unit_union_volume: float
 
 
-def reg_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function ``I_x(a, b)``.
-
-    A domain-checked scalar front end to :func:`scipy.special.betainc`;
-    ``I_0 = 0`` and ``I_1 = 1`` exactly.
-
-    >>> reg_incomplete_beta(0.25, 1.0, 1.0)
-    0.25
-    """
-    if not (0.0 <= x <= 1.0):
-        raise InvalidInputError(f"x must lie in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise InvalidInputError(f"a and b must be positive, got a={a}, b={b}")
-    return float(special.betainc(a, b, x))
-
-
 def ball_volume(m: int, r: float = 1.0) -> float:
     """Volume of the radius-``r`` ball in ``R^m``: ``pi^{m/2}/Gamma(m/2+1) r^m``."""
     if m < 1:
@@ -162,10 +146,13 @@ def nn_pair_limit(m: int) -> float:
 
     Strictly decreasing in ``m``, from ``q(1) = 2/3`` toward ``1/2``.
     Agrees with the geometric ratio of :func:`ball_geometry` to 1e-10.
+
+    >>> nn_pair_limit(1)
+    0.6666666666666666
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    return 1.0 / (2.0 - reg_incomplete_beta(0.75, (m + 1) / 2.0, 0.5))
+    return 1.0 / (2.0 - float(special.betainc((m + 1) / 2.0, 0.5, 0.75)))
 
 
 def ball_geometry(m: int) -> BallGeometry:

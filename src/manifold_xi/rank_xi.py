@@ -51,9 +51,9 @@ def _validate_response(y) -> np.ndarray:
     return y
 
 
-def _validate_pair(x, y, min_n: int, strict: bool = False) -> tuple[PointCloud, np.ndarray]:
+def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray]:
     """Validate paired predictors and responses of equal length ``n >= min_n``."""
-    cloud = as_point_cloud(x, strict=strict)
+    cloud = as_point_cloud(x)
     y = _validate_response(y)
     n = cloud.n
     if y.shape[0] != n:
@@ -63,22 +63,18 @@ def _validate_pair(x, y, min_n: int, strict: bool = False) -> tuple[PointCloud, 
     return cloud, y
 
 
-def compute_ranks(y, strict: bool = False) -> np.ndarray:
+def compute_ranks(y) -> np.ndarray:
     """Counting ranks ``R_i = #{j : y_j <= y_i}`` (values in ``1..n``).
 
     Tied responses all receive the maximal shared rank, which is the
-    graceful degradation of the counting definition.  With ``strict=True``
-    exact ties raise :class:`TieError` instead.
+    graceful degradation of the counting definition.
 
     >>> compute_ranks([10.0, -3.0, 5.5]).tolist()
     [3, 1, 2]
     """
     y = _validate_response(y)
     order = np.sort(y)
-    ranks = np.searchsorted(order, y, side="right").astype(np.int64)
-    if strict and np.unique(y).shape[0] < y.shape[0]:
-        raise TieError("response contains exact ties")
-    return ranks
+    return np.searchsorted(order, y, side="right").astype(np.int64)
 
 
 def _xi_from_ranks(ranks: np.ndarray, nn: np.ndarray) -> tuple[int, float]:
@@ -98,7 +94,8 @@ def xi_n(x, y, strict: bool = False) -> XiStatistic:
     y : (n,) array_like
         Responses, same length.
     strict : bool
-        Reject duplicate predictor rows and tied responses.
+        Raise :class:`DuplicatePointsError` on duplicate predictor rows and
+        :class:`TieError` on tied responses instead of resolving the ties.
 
     Notes
     -----
@@ -106,9 +103,13 @@ def xi_n(x, y, strict: bool = False) -> XiStatistic:
     :func:`build_nn_graph` for every ``n`` and ``d``; distance ties break
     toward the smallest index, so the value is deterministic on any input.
     """
-    cloud, y = _validate_pair(x, y, min_n=3, strict=strict)
-    graph = build_nn_graph(cloud, strict=strict)
-    _, value = _xi_from_ranks(compute_ranks(y, strict=strict), graph.nn_index)
+    cloud, y = _validate_pair(x, y, min_n=3)
+    if strict:
+        cloud.require_distinct()
+        if np.unique(y).shape[0] < y.shape[0]:
+            raise TieError("response contains exact ties")
+    graph = build_nn_graph(cloud)
+    _, value = _xi_from_ranks(compute_ranks(y), graph.nn_index)
     return XiStatistic(value=value, n=cloud.n)
 
 

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .dep_tests import METHODS, run_test
+from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, run_test
 from .errors import DatasetFormatError, InvalidInputError
 from .manifold_gen import (
     CASES,
@@ -44,7 +44,7 @@ class ExperimentConfig:
     reps: int = 1000
     alpha: float = 0.05
     methods: tuple = ("xi_asymptotic", "dcor_permutation")
-    B: int = 199
+    B: int = DEFAULT_PERMUTATIONS
     master_seed: int = 0
     threads: int | None = None  # None means auto
     xi_tail: str = "right"  # "two_sided" reproduces two-sided-threshold studies
@@ -145,8 +145,6 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
                 for method in config.methods]
     r_hash = (matrix_hash(linear_embedding_matrix(m, config.master_seed))
               if transform == "linear_embed" else None)
-    constants = (default_null_constants(m)
-                 if "xi_asymptotic" in config.methods else None)
     counts = dict.fromkeys(config.methods, 0)
     for rep in range(config.reps):
         spec = ScenarioSpec(case=case, transform=transform, m=m, rho=rho,
@@ -155,7 +153,7 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
         data = generate(spec)
         for k, method in enumerate(config.methods):
             res = run_test(method, data.x, data.y, config.alpha, m=m,
-                           constants=constants, tail=config.xi_tail, B=config.B,
+                           tail=config.xi_tail, B=config.B,
                            seed=(config.master_seed, cell_index, rep, 1 + k))
             counts[method] += res.reject
     elapsed_ms = int(1000 * (time.perf_counter() - start))
@@ -175,7 +173,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     Cells run on a thread pool (``config.threads``, default: CPU count);
     per-cell seeds are deterministic, so the output does not depend on the
     thread count.  Infeasible gaussian cells are recorded as skipped (see
-    :class:`PowerRecord`) and the run continues.
+    :class:`PowerRecord`) and the run continues.  ``log``, if given, gets
+    a progress line per computed (cell, method), none for skipped cells.
     """
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
@@ -188,10 +187,9 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
         records = _run_cell(index, case, transform, m, rho, config)
         if log is not None:
             for rec in records:
-                tag = (f"skipped ({rec.skip_reason})" if rec.skip_reason
-                       else f"rate={rec.rejection_rate:.4f}")
-                log(f"{rec.case}/{rec.transform} m={rec.m} rho={rec.rho:g} "
-                    f"{rec.method}: {tag}")
+                if not rec.skip_reason:
+                    log(f"{rec.case}/{rec.transform} m={rec.m} rho={rec.rho:g} "
+                        f"{rec.method}: rate={rec.rejection_rate:.4f}")
         return records
 
     flat = [rec for records in parallel_map(run, cells, config.threads)

@@ -165,6 +165,26 @@ def test_simulate_end_to_end(tmp_path, capsys):
                       "mc_stderr,r_matrix_hash,elapsed_ms")
 
 
+@pytest.mark.parametrize("quiet", [False, True])
+def test_simulate_reports_each_skipped_cell_once(tmp_path, capsys, quiet):
+    # m * rho^2 = 1.25 makes the gaussian rho=0.5 cell infeasible
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": ["gaussian"], "transforms":
+                                    ["identity"], "m_grid": [5],
+                                    "rho_grid": [0.0, 0.5], "n": 20, "reps": 2,
+                                    "methods": ["xi_permutation", "dcor_permutation"],
+                                    "B": 19}))
+    argv = ["simulate", "--config", cfg_path.as_posix(),
+            "--out", (tmp_path / "r.csv").as_posix()]
+    assert cli_dispatch(argv + ["--quiet"] * quiet) == 0
+    err = capsys.readouterr().err.splitlines()
+    skipped = [line for line in err if "infeasible" in line]
+    assert len(skipped) == 2
+    assert {line.split(":")[0].split()[-1] for line in skipped} == {
+        "xi_permutation", "dcor_permutation"}
+    assert len(err) == (2 if quiet else 4)  # plus one progress line per rate
+
+
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"cases": ["linear"], "transforms":

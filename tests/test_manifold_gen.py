@@ -15,7 +15,6 @@ from manifold_xi import (
     generate,
     linear_embedding_matrix,
     matrix_hash,
-    sample_uniform_manifold,
     wshape,
 )
 from manifold_xi.manifold_gen import (
@@ -23,7 +22,6 @@ from manifold_xi.manifold_gen import (
     scenario_metadata,
     write_dataset_csv,
 )
-from manifold_xi.nn_graph import build_nn_graph
 
 
 class TestWshape:
@@ -146,25 +144,7 @@ class TestEmbeddings:
     def test_embedded_clouds_have_no_duplicates_at_paper_scale(self):
         spec = ScenarioSpec("gaussian", "manifold_embed", m=2, rho=0.0, n=100, seed=8)
         data = generate(spec)
-        build_nn_graph(data.x, strict=True)  # must not raise
-
-
-class TestUniformManifoldSampler:
-    def test_in_unit_cube_with_matching_moments(self):
-        cloud = sample_uniform_manifold(1, 100_000, seed=9)
-        pts = cloud.points
-        assert pts.min() >= 0.0 and pts.max() < 1.0
-        assert pts.mean() == pytest.approx(0.5, abs=0.005)
-        assert pts.var() == pytest.approx(1.0 / 12.0, rel=0.05)
-
-    def test_deterministic(self):
-        a = sample_uniform_manifold(2, 1000, seed=10)
-        b = sample_uniform_manifold(2, 1000, seed=10)
-        assert (a.points == b.points).all()
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            sample_uniform_manifold(0, 10)
+        assert np.unique(data.x, axis=0).shape[0] == 100
 
 
 class TestDatasetCsv:

@@ -13,10 +13,18 @@ from manifold_xi import (
     estimate_constants_empirical,
     generate,
     nn_pair_limit,
+    xi_n,
 )
 from manifold_xi import nn_graph
 from manifold_xi.manifold_gen import CASES
-from manifold_xi.nn_graph import _nn_brute, _nn_tree, _torus_sqdist
+from manifold_xi.nn_graph import _nn_brute, _nn_tree
+
+
+def _torus_sqdist(a, b):
+    """Squared wrap-around distance on the unit torus (coordinates in [0,1))."""
+    diff = np.abs(a - b)
+    diff = np.minimum(diff, 1.0 - diff)
+    return (diff * diff).sum(axis=-1)
 
 
 def ordered_motifs_by_enumeration(nn):
@@ -66,7 +74,8 @@ class TestBuildGraph:
     def test_duplicates_error_in_strict_mode(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
         with pytest.raises(DuplicatePointsError):
-            build_nn_graph(pts, strict=True)
+            xi_n(pts, [1.0, 2.0, 3.0], strict=True)
+        assert build_nn_graph(pts).nn_index.tolist() == [2, 0, 0]
 
     def test_duplicates_resolve_to_smallest_index_otherwise(self):
         pts = np.array([[5.0], [1.0], [1.0], [1.0]])

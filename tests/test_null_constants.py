@@ -2,9 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import special
 
 from manifold_xi import (
     REFERENCE_PAIR_LIMITS,
@@ -17,46 +15,9 @@ from manifold_xi import (
     nn_pair_limit,
     nn_triple_limit_mc,
     null_variance,
-    reg_incomplete_beta,
     union_volume,
 )
 from manifold_xi.null_constants import write_constants_csv
-
-
-class TestRegIncompleteBeta:
-    def test_uniform_case_is_identity(self):
-        for x in (0.0, 0.25, 1.0):
-            assert reg_incomplete_beta(x, 1.0, 1.0) == pytest.approx(x, abs=1e-12)
-
-    def test_endpoints_exact(self):
-        assert reg_incomplete_beta(0.0, 2.5, 0.5) == 0.0
-        assert reg_incomplete_beta(1.0, 2.5, 0.5) == 1.0
-
-    def test_hand_value_a1_bhalf(self):
-        # antiderivative of (1-t)^(-1/2)/2 is 1 - sqrt(1-x)
-        assert reg_incomplete_beta(0.75, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
-
-    def test_hand_value_a32_bhalf(self):
-        # trig substitution t = sin^2(theta)
-        expected = (math.pi / 3 - math.sqrt(3) / 4) / (math.pi / 2)
-        assert reg_incomplete_beta(0.75, 1.5, 0.5) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.39100, abs=5e-6)
-
-    def test_domain_errors(self):
-        with pytest.raises(InvalidInputError):
-            reg_incomplete_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            reg_incomplete_beta(1.1, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            reg_incomplete_beta(0.5, 0.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            reg_incomplete_beta(0.5, 1.0, -2.0)
-
-    @given(a=st.floats(0.1, 60.0), b=st.floats(0.1, 60.0), x=st.floats(0.0, 1.0))
-    @settings(max_examples=200, deadline=None)
-    def test_against_scipy_property(self, a, b, x):
-        assert reg_incomplete_beta(x, a, b) == pytest.approx(
-            float(special.betainc(a, b, x)), abs=1e-10)
 
 
 class TestBallGeometry:
@@ -111,6 +72,17 @@ class TestPairLimit:
     def test_one_dimension_exact(self):
         assert nn_pair_limit(1) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    def test_two_dimensions_exact(self):
+        # I_{3/4}(3/2, 1/2) by the substitution t = sin^2(theta)
+        i_34 = (math.pi / 3 - math.sqrt(3) / 4) / (math.pi / 2)
+        assert nn_pair_limit(2) == pytest.approx(1.0 / (2.0 - i_34), abs=1e-12)
+        assert nn_pair_limit(2) == pytest.approx(0.6215048968874, abs=1e-12)
+
+    def test_is_the_incomplete_beta_formula(self):
+        for m in range(1, 51):
+            assert nn_pair_limit(m) == 1.0 / (
+                2.0 - float(special.betainc((m + 1) / 2, 0.5, 0.75)))
+
     def test_reference_table_two_decimals(self):
         for m, expected in REFERENCE_PAIR_LIMITS.items():
             assert round(nn_pair_limit(m), 2) == expected
@@ -118,7 +90,7 @@ class TestPairLimit:
     def test_strictly_decreasing_with_range(self):
         values = [nn_pair_limit(m) for m in range(1, 51)]
         assert all(a > b for a, b in zip(values, values[1:]))
-        # upper edge with one-ulp slack: q(1) evaluates to 2/3 + 5.5e-17
+        # upper edge with rounding slack (q(1) is the double nearest 2/3)
         assert all(0.5 < v <= 2.0 / 3.0 + 1e-12 for v in values)
 
     def test_limit_approached_from_above(self):
@@ -221,10 +193,3 @@ class TestAgreementWithEmpiricalCounts:
         assert abs(est.pair_rate - nn_pair_limit(1)) < 3 * max(est.pair_stderr, 1e-3)
         triple, se = nn_triple_limit_mc(1, samples=2 * 10**5, seed=4)
         assert abs(est.triple_rate - triple) < 3 * math.hypot(est.triple_stderr, se) + 2e-3
-
-
-def test_normal_reference_distribution_available():
-    # sanity anchor for downstream z-tests: scipy agrees with erfc-based CDF
-    from manifold_xi import normal_cdf
-    for z in (-2.5, -0.3, 0.0, 1.0, 3.2):
-        assert normal_cdf(z) == pytest.approx(stats.norm.cdf(z), abs=1e-12)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from manifold_xi import (
     InvalidInputError,
+    PointCloud,
     TieError,
     compute_ranks,
     min_kernel_moments,
@@ -26,7 +27,8 @@ class TestRanks:
 
     def test_strict_mode_rejects_ties(self):
         with pytest.raises(TieError):
-            compute_ranks([1.0, 2.0, 1.0], strict=True)
+            xi_n([[0.0], [1.0], [2.0]], [1.0, 2.0, 1.0], strict=True)
+        assert compute_ranks([1.0, 2.0, 1.0]).tolist() == [2, 3, 2]
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -64,6 +66,20 @@ class TestXiValue:
         rank_sum = int(np.minimum(ranks, ranks[_nn_brute(x)]).sum())
         brute = 6.0 * rank_sum / (150 * 150 - 1.0) - (2.0 * 150 + 1.0) / (150 - 1.0)
         assert xi_n(x, y).value == brute
+
+    def test_strict_checks_duplicate_rows_once(self, monkeypatch):
+        calls = []
+        check = PointCloud.require_distinct
+
+        def counted(cloud):
+            calls.append(cloud.n)
+            return check(cloud)
+
+        monkeypatch.setattr(PointCloud, "require_distinct", counted)
+        rng = np.random.default_rng(3)
+        x, y = rng.random((40, 2)), rng.random(40)
+        assert xi_n(x, y, strict=True) == xi_n(x, y)
+        assert calls == [40]
 
     def test_functional_dependence_approaches_one(self):
         rng = np.random.default_rng(1)
