@@ -2,8 +2,17 @@
 
 Each point gets exactly one outgoing edge, to its Euclidean nearest
 neighbor (distance ties broken by smallest index), found by one exact
-kd-tree kernel for every sample size and ambient dimension.  Two
-structural motifs of this graph drive the null variance of the rank
+kd-tree kernel for every sample size and ambient dimension.  The kernel
+queries the tree in the tree's own leaf order and asks for a short list of
+three candidates per point; exact squared distances and the smallest-index
+rule pick among them.  The few points that list cannot settle are resolved
+by cause: exact copies by grouping equal rows, near-ties (lattices) by a
+second query with eight candidates, and anything left by an exact scan of
+that point's row.  Rows small enough in some coordinate for a squared
+difference to underflow to zero are never grouped, so the graph equals the
+all-pairs scan on every finite input.
+
+Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
 
 * mutual pairs  — ordered ``(i, j)`` with ``i -> j`` and ``j -> i``;
@@ -152,35 +161,82 @@ def _nn_brute_row(pts: np.ndarray, i: int) -> int:
     return int(d2.argmin())
 
 
+def _verified_candidates(tree: cKDTree, pts: np.ndarray, rows: np.ndarray, k: int):
+    """Nearest neighbors of ``pts[rows]`` proposed by the tree's ``k`` nearest.
+
+    The candidates' exact squared distances are recomputed with
+    :func:`_sqdist` (in row blocks of ``(rows, k, d)`` scratch within
+    ``_BRUTE_BLOCK_ENTRIES``) and the smallest-index tie rule applied.
+    Returns the chosen indices, their exact squared distances and a mask of
+    the rows whose list cannot provably contain the exact nearest neighbor.
+    """
+    dist, cand = tree.query(pts[rows], k=k)
+    d = pts.shape[1]
+    d2 = np.empty(cand.shape)
+    block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
+    for start in range(0, len(rows), block):
+        blk = slice(start, start + block)
+        d2[blk] = _sqdist(pts[cand[blk]], pts[rows[blk], None, :])
+    d2[cand == rows[:, None]] = np.inf  # mask self wherever it appears
+    best = d2.min(axis=1)
+    nn = np.where(d2 <= best[:, None], cand, len(pts)).min(axis=1)
+    if k == len(pts):
+        return nn, best, np.zeros(len(rows), dtype=bool)
+    # Points outside the candidate list are at least as far (by the tree's
+    # arithmetic) as the k-th candidate, so the exact minimum is provably
+    # inside the list when it beats that bound with slack.
+    return nn, best, ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+
+
+def _copy_groups_nn(pts: np.ndarray) -> np.ndarray:
+    """For rows that each have an exact copy among them, the smallest index
+    of another copy (indices into ``pts``)."""
+    _, group, size = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
+    group = group.ravel()
+    by_group = np.argsort(group, kind="stable")  # each group's rows, by index
+    start = np.cumsum(size) - size
+    first, second = by_group[start][group], by_group[start + 1][group]
+    return np.where(first == np.arange(len(pts)), second, first)
+
+
 def _nn_tree(pts: np.ndarray) -> np.ndarray:
     """Exact kd-tree nearest neighbors, identical to :func:`_nn_brute`.
 
-    For any ``n`` and ``d``, the tree proposes up to ``k = 8`` candidates
-    per point; their exact squared distances are recomputed with
-    :func:`_sqdist` (in row blocks of ``(rows, k, d)`` scratch within
-    ``_BRUTE_BLOCK_ENTRIES``) and the smallest-index tie rule applied.  A
-    row falls back to a brute scan whenever its candidate list cannot
-    provably contain the exact nearest neighbor (more near-ties than
-    candidates).
+    The tree is queried in its own leaf order (``tree.indices``), so
+    consecutive queries walk the same nodes, and the answers are scattered
+    back to row order.  Every row first gets a short list of ``k = 3``
+    candidates, verified by :func:`_verified_candidates`.  The rows that
+    list cannot settle are resolved by cause:
+
+    * exact copies (an exact best distance of zero) are grouped with
+      ``np.unique``; each gets the smallest index of another copy, which is
+      the all-pairs answer.  Squared distance zero means equal rows unless
+      a difference below about ``2**-537`` squares to zero, which needs
+      both values below ``2**-485`` in magnitude.  So a row that small in a
+      coordinate where some row holds a nonzero value that small is not
+      grouped (``2**-480`` leaves a margin);
+    * every other unsettled row (near-ties, such as lattices) is queried
+      again, in leaf order, with ``k = 8`` candidates and the same proof;
+    * rows still unsettled get an exact brute scan of their own.
     """
-    n, d = pts.shape
-    k = min(n, 8)
-    dist, cand = cKDTree(pts).query(pts, k=k)
-    d2 = np.empty((n, k))
-    block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        d2[rows] = _sqdist(pts[cand[rows]], pts[rows, None, :])
-    d2[cand == np.arange(n)[:, None]] = np.inf  # mask self wherever it appears
-    best = d2.min(axis=1)
-    nn = np.where(d2 <= best[:, None], cand, n).min(axis=1)
-    if k < n:
-        # Points outside the candidate list are at least as far (by the
-        # tree's arithmetic) as the k-th candidate, so the exact minimum is
-        # provably inside the list when it beats that bound with slack.
-        tree_last = dist[:, -1] ** 2
-        unsure = ~(best < tree_last * (1.0 - _TIE_RTOL))
-        for i in np.nonzero(unsure)[0]:
+    n = len(pts)
+    tree = cKDTree(pts)
+    order = tree.indices
+    nn, best, unsure = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    nn[order], best[order], unsure[order] = _verified_candidates(tree, pts, order, min(n, 3))
+    # Exact copies share their tree answers and exact distances, so every
+    # copy of an unsettled zero-distance row is itself one of those rows.
+    copies = unsure & (best == 0.0)
+    if copies.any():
+        small = np.abs(pts) < 2.0**-480
+        copies &= ~small[:, (small & (pts != 0.0)).any(axis=0)].any(axis=1)
+        rows = np.flatnonzero(copies)
+        nn[rows] = rows[_copy_groups_nn(pts[rows])]
+        unsure &= ~copies
+    if unsure.any():
+        rows = order[unsure[order]]
+        nn[rows], _, still = _verified_candidates(tree, pts, rows, min(n, 8))
+        for i in rows[still]:
             nn[i] = _nn_brute_row(pts, i)
     return nn
 
@@ -188,11 +244,15 @@ def _nn_tree(pts: np.ndarray) -> np.ndarray:
 def build_nn_graph(cloud) -> NnGraph:
     """Build the directed Euclidean nearest-neighbor graph.
 
-    The kd-tree kernel :func:`_nn_tree` runs for every ``n`` and ``d``.
-    It re-verifies its candidates with exact distances and breaks ties by
-    smallest index, so the graph equals the all-pairs scan on any input.
-    Duplicate rows are zero-distance ties: each copy points to the
-    smallest-index other copy.
+    The kd-tree kernel :func:`_nn_tree` runs for every ``n`` and ``d``:
+    a leaf-ordered query for three candidates per point, re-verified with
+    exact distances and the smallest-index tie rule, so the graph equals
+    the all-pairs scan on any input.  Duplicate rows are zero-distance
+    ties: each copy points to the smallest-index other copy, found by
+    grouping equal rows rather than by scanning.  Near-ties are re-queried
+    with eight candidates; only a point with more near-ties than that (or
+    coordinates so small that squared differences underflow) gets a scan of
+    its own row.
 
     Parameters
     ----------
@@ -225,11 +285,11 @@ def _nn_uniform_sample(m: int, n: int, geometry: str, rng) -> np.ndarray:
     """NN index of n uniform points on [0,1)^m under the chosen metric."""
     pts = rng.random((n, m))
     tree = cKDTree(pts, boxsize=1.0) if geometry == "torus" else cKDTree(pts)
-    _, idx = tree.query(pts, k=2)
-    nn = idx[:, 1].astype(np.int64)
-    rows = np.arange(n)
-    swapped = idx[:, 0] != rows  # zero-distance ties can displace self
-    nn[swapped] = idx[swapped, 0]
+    rows = tree.indices  # leaf order: consecutive queries walk the same nodes
+    _, idx = tree.query(pts[rows], k=2)
+    nn = np.empty(n, dtype=np.int64)
+    # zero-distance ties can displace self from the first column
+    nn[rows] = np.where(idx[:, 0] != rows, idx[:, 0], idx[:, 1])
     return nn
 
 

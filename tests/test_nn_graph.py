@@ -110,12 +110,55 @@ class TestTreeBruteEquivalence:
             if len(pts) < 2:
                 continue
             assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # full lattices in shuffled row order; a scaled copy rounds the ties
+        # into near-ties, and in d=4 eight equidistant neighbors outgrow
+        # every candidate list
+        for d, side in [(1, 60), (2, 12), (3, 6), (4, 4)]:
+            axes = np.meshgrid(*[np.arange(side, dtype=float)] * d)
+            grid = np.stack(axes, axis=-1).reshape(-1, d)
+            for pts in (grid, 0.1 * grid + 0.3):
+                pts = pts[rng.permutation(len(pts))]
+                assert (_nn_tree(pts) == _nn_brute(pts)).all()
 
     def test_duplicate_heavy_clouds(self):
         rng = np.random.default_rng(10)
         base = rng.standard_normal((12, 2))
         pts = np.vstack([base, base[rng.integers(0, 12, size=30)]])
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # few distinct rows, each copied many times, alone or among singletons
+        for n, d, levels in [(500, 1, 10), (400, 3, 20), (300, 2, 3), (200, 5, 150)]:
+            base = rng.standard_normal((levels, d))
+            pts = base[rng.integers(0, levels, size=n)]
+            assert (_nn_tree(pts) == _nn_brute(pts)).all()
+            pts = np.vstack([pts, rng.standard_normal((n // 4, d))])
+            pts = pts[rng.permutation(len(pts))]
+            assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # -0.0 and 0.0 are equal rows
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [0.0, 1.0], [-0.0, 1.0]])
+        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+
+    @pytest.mark.parametrize("pts", [
+        [[1e-170], [0.0], [0.0], [5.0], [6.0]],
+        [[1e-170, 1.0], [0.0, 1.0], [0.0, 1.0], [3.0, 3.0]],
+        [[0.0], [1e-170], [0.0], [0.0]],
+    ])
+    def test_underflowing_distances_are_not_copies(self, pts):
+        # (1e-170)**2 underflows to 0, so these rows tie at distance zero
+        # with rows they do not equal
+        pts = np.asarray(pts)
+        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+
+    def test_copies_and_generic_clouds_need_no_row_scans(self, monkeypatch):
+        # a per-row scan is O(n); one for every copy made the graph quadratic
+        scans = []
+        scan = nn_graph._nn_brute_row
+        monkeypatch.setattr(nn_graph, "_nn_brute_row",
+                            lambda pts, i: scans.append(i) or scan(pts, i))
+        rng = np.random.default_rng(13)
+        for pts in (rng.standard_normal(10)[rng.integers(0, 10, size=2000)][:, None],
+                    rng.random((1000, 3))):
+            assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        assert scans == []
 
     def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -123,24 +166,36 @@ class TestTreeBruteEquivalence:
         pts = rng.standard_normal((n, d))
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
         one_block = _nn_brute(pts)
+        side = 8
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1)
+        lattice = grid.reshape(-1, 2)[rng.permutation(side * side)].astype(float)
+        lattice_nn = _nn_brute(lattice)
         scratch = []
         exact = nn_graph._sqdist
 
         def recording(a, b):
-            out = exact(a, b)
-            scratch.append(out.size * d)  # each (rows, n, d) temporary
-            return out
+            scratch.append(np.broadcast(a, b).shape)  # the (rows, k or n, d) temporary
+            return exact(a, b)
 
         monkeypatch.setattr(nn_graph, "_sqdist", recording)
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
         assert (_nn_brute(pts) == one_block).all()
-        assert len(scratch) == -(-n // 7) and max(scratch) <= 7 * n * d
+        assert len(scratch) == -(-n // 7)
+        assert max(np.prod(s) for s in scratch) <= 7 * n * d
 
-        # the tree's verification pass: (rows, k=8, d) temporaries
+        # the tree's first pass: (rows, k=3, d) temporaries
         scratch.clear()
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 8 * d)
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 3 * d)
         assert (_nn_tree(pts) == one_block).all()
-        assert len(scratch) == -(-n // 7) and max(scratch) <= 7 * 8 * d
+        assert len(scratch) == -(-n // 7) and {s[1] for s in scratch} == {3}
+        assert max(np.prod(s) for s in scratch) <= 7 * 3 * d
+
+        # lattice near-ties take the k=8 re-query: (rows, 8, 2) temporaries
+        scratch.clear()
+        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 8 * 2)
+        assert (_nn_tree(lattice) == lattice_nn).all()
+        assert {s[1] for s in scratch} == {3, 8}
+        assert max(np.prod(s) for s in scratch) <= 7 * 8 * 2
 
     @given(st.lists(st.integers(-8, 8), min_size=2, max_size=25))
     @settings(max_examples=150, deadline=None)
