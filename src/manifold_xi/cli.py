@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, result_as_dict, run_test
-from .errors import ManifoldXiError
+from .errors import InvalidInputError, ManifoldXiError
 from .manifold_gen import (
     CASES,
     TRANSFORMS,
@@ -104,6 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_constants(args) -> int:
+    if args.m_max < 1:
+        raise InvalidInputError(f"--m-max must be >= 1, got {args.m_max}")
     rows = []
     for m in range(1, args.m_max + 1):
         if args.source == "table":
@@ -141,8 +143,13 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     threads = args.threads
-    if threads is None and os.environ.get("XICOR_THREADS"):
-        threads = int(os.environ["XICOR_THREADS"])
+    env_threads = os.environ.get("XICOR_THREADS")
+    if threads is None and env_threads:
+        try:
+            threads = int(env_threads)
+        except ValueError:
+            raise InvalidInputError(
+                f"XICOR_THREADS must be an integer, got {env_threads!r}") from None
     if threads is not None:
         config = dataclasses.replace(config, threads=threads)
     log = None if args.quiet else (lambda line: print(line, file=sys.stderr))

@@ -16,7 +16,11 @@ where ``m`` is the intrinsic (manifold) dimension of the predictors and
   integral of ``exp(-vol(union of two balls))`` over the exclusion region
   where each center is farther from the other than from the origin.  It has
   a closed form only for ``m = 1`` (exactly 1/2) and is otherwise estimated
-  by importance sampling with reported standard error.
+  by importance sampling with reported standard error.  The sampler needs
+  no special functions: it takes the distance between the two centers
+  from their radii and the cosine of the angle between them, and the
+  volumes of the two caps that make up the lens from an elementary
+  recurrence.
 
 The module also ships a reference table of rounded constants for
 ``m = 1..10`` as a named dataset (``source="table"``), so downstream
@@ -96,37 +100,35 @@ def ball_volume(m: int, r: float = 1.0) -> float:
 def _cap_fractions(m: int, c_over_r: np.ndarray) -> np.ndarray:
     """Fraction of an m-ball's volume beyond a plane at distance ``c`` from
     the center (signed: negative ``c`` means the plane is past the center,
-    giving a cap larger than a hemisphere)."""
-    x = 1.0 - c_over_r * c_over_r
-    np.clip(x, 0.0, 1.0, out=x)
-    minor = 0.5 * special.betainc((m + 1) / 2.0, 0.5, x)
-    return np.where(c_over_r >= 0.0, minor, 1.0 - minor)
+    giving a cap larger than a hemisphere).
 
-
-def _union_volumes(m: int, r1: np.ndarray, r2: np.ndarray,
-                   dist: np.ndarray) -> np.ndarray:
-    """Vectorized volume of the union of two balls, all configurations."""
-    vm = ball_volume(m)
-    v1 = vm * r1**m
-    v2 = vm * r2**m
-    rmin = np.minimum(r1, r2)
-    rmax = np.maximum(r1, r2)
-    disjoint = dist >= r1 + r2
-    contained = dist + rmin <= rmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c1 = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
-        c2 = dist - c1
-        lens = v1 * _cap_fractions(m, c1 / r1) + v2 * _cap_fractions(m, c2 / r2)
-    inter = np.where(contained, vm * rmin**m, np.where(disjoint, 0.0, lens))
-    return v1 + v2 - inter
+    With ``h = |c| / r`` and ``J_k(h) = int_h^1 (1 - t^2)^{k/2} dt``, the
+    minor cap is ``J_{m-1}(h) / (2 J_{m-1}(0))``.  ``J_k`` follows from
+    ``J_0 = 1 - h`` or ``J_{-1} = arccos h`` by the exact recurrence
+    ``(k + 1) J_k = k J_{k-2} - h (1 - h^2)^{k/2}``, about ``m/2`` steps.
+    """
+    h = np.minimum(np.abs(c_over_r), 1.0)
+    s2 = 1.0 - h * h
+    if m % 2:  # from J_0; half is J_k(0)
+        start, cap, half, step = 2, 1.0 - h, 1.0, h * s2
+    else:  # from J_{-1}
+        start, cap, half, step = 1, np.arccos(h), math.pi / 2.0, h * np.sqrt(s2)
+    for k in range(start, m, 2):  # step holds h (1 - h^2)^{k/2}
+        cap *= k
+        cap -= step
+        cap /= k + 1
+        half *= k / (k + 1)
+        step *= s2
+    cap /= 2.0 * half
+    return np.where(c_over_r >= 0.0, cap, 1.0 - cap)
 
 
 def union_volume(m: int, r1: float, r2: float, dist: float) -> float:
     """Volume of ``B(w1, r1) union B(w2, r2)`` with ``|w1 - w2| = dist``.
 
-    The intersection is assembled from two spherical caps whose volumes go
-    through the regularized incomplete beta; containment and disjointness
-    are handled exactly.
+    The intersection is assembled from two spherical caps, each from the
+    elementary recurrence of ``_cap_fractions``; containment and
+    disjointness are handled exactly.
 
     >>> round(union_volume(1, 1.0, 1.0, 1.0), 12)   # [-1,1] union [0,2]
     3.0
@@ -137,8 +139,18 @@ def union_volume(m: int, r1: float, r2: float, dist: float) -> float:
         raise InvalidInputError(f"radii must be positive, got {r1}, {r2}")
     if dist < 0:
         raise InvalidInputError(f"distance must be >= 0, got {dist}")
-    return float(_union_volumes(m, np.atleast_1d(float(r1)), np.atleast_1d(float(r2)),
-                                np.atleast_1d(float(dist)))[0])
+    vm = ball_volume(m)
+    v1 = vm * r1**m
+    v2 = vm * r2**m
+    if dist + min(r1, r2) <= max(r1, r2):
+        inter = vm * min(r1, r2) ** m
+    elif dist >= r1 + r2:
+        inter = 0.0
+    else:
+        c1 = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
+        caps = _cap_fractions(m, np.array([c1 / r1, (dist - c1) / r2]))
+        inter = v1 * caps[0] + v2 * caps[1]
+    return float(v1 + v2 - inter)
 
 
 def nn_pair_limit(m: int) -> float:
@@ -178,7 +190,14 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
         exp(V_m |w1|^m + V_m |w2|^m - vol(union of the two balls)),
 
     a weight that is >= 1 because the union is at most the sum of the two
-    ball volumes; pairs outside the region contribute zero.  Sampling is
+    ball volumes; pairs outside the region contribute zero.  The exponent
+    is the lens volume ``V_m (r1^m F_m(h1) + r2^m F_m(h2))``, two minor caps
+    with plane offsets ``h1 = (r1 - r2 cos) / gap`` and
+    ``h2 = (r2 - r1 cos) / gap``, where ``cos`` is the cosine between the
+    two raw normal direction draws and ``gap^2 = r1^2 + r2^2 - 2 r1 r2 cos``
+    (on the region ``gap > max(r1, r2)``, so neither offset is negative).
+    The cap fraction ``F_m`` comes from the recurrence in
+    ``_cap_fractions``; the points themselves are never formed.  Sampling is
     blocked, with one substream per block fanned out by
     :func:`~manifold_xi.rngs.parallel_map`, so the result is deterministic
     for a given seed regardless of thread count.
@@ -197,21 +216,25 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     def run_block(block: int) -> tuple[float, float, int]:
         size = min(_MC_BLOCK, samples - block * _MC_BLOCK)
         rng = substream(seed, block)
-        radius = (rng.exponential(size=(2, size)) / vm) ** (1.0 / m)
-        direction = rng.standard_normal((2, size, m))
-        direction /= np.linalg.norm(direction, axis=2, keepdims=True)
-        w = direction * radius[:, :, None]
-        gap = np.linalg.norm(w[0] - w[1], axis=1)
+        mass = rng.exponential(size=(2, size))  # V_m r^m ~ Exp(1)
+        radius = (mass / vm) ** (1.0 / m)
+        g = rng.standard_normal((2, size, m))
+        cos = np.einsum("jk,jk->j", g[0], g[1])
+        cos /= np.sqrt(np.prod(np.einsum("ijk,ijk->ij", g, g), axis=0))
         r1, r2 = radius
+        gap = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos
+        np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
         admissible = np.maximum(r1, r2) < gap
-        weights = np.zeros(size)
-        if admissible.any():
-            union = _union_volumes(m, r1[admissible], r2[admissible], gap[admissible])
-            log_w = vm * r1[admissible] ** m + vm * r2[admissible] ** m - union
-            if log_w.min() < -1e-9:
-                raise AssertionError("importance weight below 1 on the exclusion region")
-            weights[admissible] = np.exp(log_w)
-        return weights.sum(), (weights * weights).sum(), size
+        radius, mass = radius[:, admissible], mass[:, admissible]
+        cos, gap = cos[admissible], gap[admissible]
+        # gap > max(r1, r2) makes both plane offsets (r1 - r2 cos) / gap and
+        # (r2 - r1 cos) / gap non-negative: the lens is two minor caps.
+        caps = _cap_fractions(m, (radius - radius[::-1] * cos) / gap)
+        log_w = (mass * caps).sum(axis=0)
+        if log_w.size and log_w.min() < -1e-9:
+            raise AssertionError("importance weight below 1 on the exclusion region")
+        weights = np.exp(log_w)
+        return weights.sum(), weights @ weights, size
 
     sums, sq_sums, counts = np.array(parallel_map(run_block, range(n_blocks), threads)).T
     total = counts.sum()

@@ -55,6 +55,14 @@ def test_constants_monte_carlo_json(tmp_path):
     assert abs(rows[0]["o_m"] - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("m_max", ["0", "-3"])
+def test_constants_rejects_non_positive_m_max(capsys, m_max):
+    assert cli_dispatch(["constants", "--m-max", m_max, "--source", "table"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--m-max" in captured.err
+
+
 def test_xi_prints_hand_example(three_points, capsys):
     assert cli_dispatch(["xi", "--input", three_points]) == 0
     assert capsys.readouterr().out.strip() == "-0.5"
@@ -206,6 +214,18 @@ def test_simulate_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(), "--out",
                          out.as_posix(), "--quiet"]) == 0
     assert out.read_text().count("\n") == 2  # header + one record
+
+
+def test_simulate_rejects_non_integer_threads_env(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": ["linear"], "transforms":
+                                    ["identity"], "m_grid": [1],
+                                    "rho_grid": [0.0], "n": 30, "reps": 4,
+                                    "methods": ["xi_permutation"], "B": 19}))
+    monkeypatch.setenv("XICOR_THREADS", "two")
+    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "XICOR_THREADS" in err
 
 
 def test_verify_nng_reports_deviations(capsys):

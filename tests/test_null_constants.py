@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,77 @@ from manifold_xi import (
     estimate_constants_empirical,
     nn_pair_limit,
     nn_triple_limit_mc,
+    null_constants,
     null_variance,
     union_volume,
 )
-from manifold_xi.null_constants import write_constants_csv
+from manifold_xi.null_constants import _cap_fractions, write_constants_csv
+from manifold_xi.rngs import substream
+
+
+def _betainc_cap_fractions(m, c_over_r):
+    x = 1.0 - c_over_r * c_over_r
+    np.clip(x, 0.0, 1.0, out=x)
+    minor = 0.5 * special.betainc((m + 1) / 2.0, 0.5, x)
+    return np.where(c_over_r >= 0.0, minor, 1.0 - minor)
+
+
+def _reference_union_volumes(m, r1, r2, dist):
+    vm = ball_volume(m)
+    v1 = vm * r1**m
+    v2 = vm * r2**m
+    rmin = np.minimum(r1, r2)
+    rmax = np.maximum(r1, r2)
+    disjoint = dist >= r1 + r2
+    contained = dist + rmin <= rmax
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
+        c2 = dist - c1
+        lens = (v1 * _betainc_cap_fractions(m, c1 / r1)
+                + v2 * _betainc_cap_fractions(m, c2 / r2))
+    inter = np.where(contained, vm * rmin**m, np.where(disjoint, 0.0, lens))
+    return v1 + v2 - inter
+
+
+def _reference_triple_limit_mc(m, samples, seed, block_size):
+    """The triple-limit sampler with explicit points: normalised directions,
+    the gap as a norm, betainc caps and the union volume subtracted from
+    the two ball volumes.  Same draws, same order."""
+    vm = ball_volume(m)
+    sums = sq_sums = 0.0
+    for block in range(-(-samples // block_size)):
+        size = min(block_size, samples - block * block_size)
+        rng = substream(seed, block)
+        radius = (rng.exponential(size=(2, size)) / vm) ** (1.0 / m)
+        direction = rng.standard_normal((2, size, m))
+        direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+        w = direction * radius[:, :, None]
+        gap = np.linalg.norm(w[0] - w[1], axis=1)
+        r1, r2 = radius
+        admissible = np.maximum(r1, r2) < gap
+        weights = np.zeros(size)
+        union = _reference_union_volumes(m, r1[admissible], r2[admissible],
+                                         gap[admissible])
+        weights[admissible] = np.exp(vm * r1[admissible] ** m
+                                     + vm * r2[admissible] ** m - union)
+        sums += weights.sum()
+        sq_sums += (weights * weights).sum()
+    mean = sums / samples
+    var = max(sq_sums / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+class TestCapFractions:
+    def test_recurrence_matches_incomplete_beta(self):
+        h = np.linspace(0.0, 1.0, 2001)
+        for m in [*range(1, 61), 100, 200]:
+            # I_{1-h^2}((m+1)/2, 1/2) written as the complement of
+            # I_{h^2}(1/2, (m+1)/2): the same function, but its argument h^2
+            # is exact near h = 0, where rounding 1 - h^2 costs betainc up
+            # to 1.4e-12 at m = 200
+            minor = 0.5 * special.betaincc(0.5, (m + 1) / 2.0, h * h)
+            assert np.abs(_cap_fractions(m, h) - minor).max() < 1e-12, m
+            assert np.abs(_cap_fractions(m, -h) - (1.0 - minor)).max() < 1e-12, m
 
 
 class TestBallGeometry:
@@ -58,6 +126,21 @@ class TestBallGeometry:
             overlap = max(0.0, min(r1, dist + r2) - max(-r1, dist - r2))
             expected = 2 * r1 + 2 * r2 - overlap
             assert union_volume(1, r1, r2, dist) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 10, 17])
+    def test_matches_betainc_union(self, m):
+        contained = [(2.0, 0.5, 1.0), (0.5, 2.0, 1.5), (1.0, 1.0, 0.0), (1.3, 0.7, 0.6)]
+        disjoint = [(1.3, 0.7, 2.0), (1.3, 0.7, 5.0), (0.2, 0.9, 1.5)]
+        rng = np.random.default_rng(m)
+        lens = []
+        for _ in range(20):
+            r1, r2 = rng.uniform(0.2, 2.0, 2)
+            lens.append((r1, r2, rng.uniform(abs(r1 - r2), r1 + r2)))
+        for cases, rel in ((contained + disjoint, 1e-15), (lens, 1e-12)):
+            for r1, r2, dist in cases:
+                expected = _reference_union_volumes(
+                    m, np.array([r1]), np.array([r2]), np.array([dist]))[0]
+                assert union_volume(m, r1, r2, dist) == pytest.approx(expected, rel=rel)
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidInputError):
@@ -122,6 +205,30 @@ class TestTripleLimit:
         a = nn_triple_limit_mc(2, samples=3 * 10**5, seed=5, threads=1)
         b = nn_triple_limit_mc(2, samples=3 * 10**5, seed=5, threads=4)
         assert a == b
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 17])
+    @pytest.mark.parametrize("block_size", [None, 2**15])
+    def test_matches_explicit_point_reference(self, m, block_size, monkeypatch):
+        # 2**15 splits the samples into three full blocks and a partial one
+        if block_size is not None:
+            monkeypatch.setattr(null_constants, "_MC_BLOCK", block_size)
+        samples = 10**5 + 1
+        for seed in (1, 2, 20260808):
+            est, se = nn_triple_limit_mc(m, samples=samples, seed=seed, threads=1)
+            ref_est, ref_se = _reference_triple_limit_mc(
+                m, samples, seed, null_constants._MC_BLOCK)
+            assert est == pytest.approx(ref_est, rel=1e-12)
+            assert se == pytest.approx(ref_se, rel=1e-12)
+
+    def test_scratch_stays_near_the_normal_draw(self):
+        m, samples = 50, 10**5
+        tracemalloc.start()
+        try:
+            nn_triple_limit_mc(m, samples=samples, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (2 * samples * m * 8)  # the (2, samples, m) draw
 
     def test_sample_floor_enforced(self):
         with pytest.raises(InvalidInputError):
