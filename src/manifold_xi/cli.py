@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, result_as_dict, run_test
-from .errors import InvalidInputError, ManifoldXiError
+from .errors import InvalidInputError, ManifoldXiError, check_int
 from .manifold_gen import (
     CASES,
     TRANSFORMS,
@@ -104,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_constants(args) -> int:
-    if args.m_max < 1:
-        raise InvalidInputError(f"--m-max must be >= 1, got {args.m_max}")
+    check_int("--m-max", args.m_max, 1)
     rows = []
     for m in range(1, args.m_max + 1):
         if args.source == "table":

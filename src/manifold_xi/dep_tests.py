@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_choice, check_int, check_real
 from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
@@ -60,7 +60,7 @@ class DistanceCorrelation:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < check_real("alpha", alpha, 0.0) < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
@@ -86,10 +86,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         If ``y`` is constant; the statistic is meaningless there.
     """
     _check_alpha(alpha)
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if tail not in ("right", "two_sided"):
-        raise InvalidInputError(f"tail must be 'right' or 'two_sided', got {tail!r}")
+    check_int("m", m, 1)
+    check_choice("tail", tail, ("right", "two_sided"))
     cloud, y = _validate_pair(x, y, min_n=3)
     if np.all(y == y[0]):
         raise DegenerateInputError("constant response: asymptotic test undefined")
@@ -111,23 +109,22 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     """Permutation test on the coefficient, graph built once.
 
     The NN graph depends only on ``x``, so each of the ``B`` permutations
-    just re-indexes the rank vector.  The comparison runs on the exact
+    just shuffles the rank vector (``rng.permuted(ranks)``, the same values
+    as ``ranks[rng.permutation(n)]``).  The comparison runs on the exact
     integer rank sums, and ``p = (1 + #{b : xi_b >= xi_obs}) / (B + 1)``,
     so p-values live on the lattice ``{1/(B+1), ..., 1}``.
     """
     _check_alpha(alpha)
-    if B < 19:
-        raise InvalidInputError(f"need B >= 19 permutations, got {B}")
+    check_int("B", B, 19)
     cloud, y = _validate_pair(x, y, min_n=3)
-    n = cloud.n
     nn = build_nn_graph(cloud).nn_index
     ranks = compute_ranks(y)
     observed, value = _xi_from_ranks(ranks, nn)
     rng = substream(seed)
     exceed = 0
     for _ in range(B):
-        if _xi_from_ranks(ranks[rng.permutation(n)], nn)[0] >= observed:
-            exceed += 1
+        shuffled = rng.permuted(ranks)
+        exceed += int(np.minimum(shuffled, shuffled[nn]).sum()) >= observed
     p = (1.0 + exceed) / (B + 1.0)
     return TestResult(method="xi_permutation", statistic=value, p_value=p,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
@@ -236,8 +233,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     scratch entries.
     """
     _check_alpha(alpha)
-    if B < 19:
-        raise InvalidInputError(f"need B >= 19 permutations, got {B}")
+    check_int("B", B, 19)
     cloud, y = _validate_pair(x, y, min_n=4)
     a, b, _, _, norm = _dcor_parts(cloud.points, y)
     n = cloud.n
@@ -285,15 +281,14 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
     uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
     to the permutation tests.
     """
+    check_choice("method", method, METHODS)
     if method == "xi_asymptotic":
         if m is None:
             raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
         return xi_test_asymptotic(x, y, m, alpha, tail=tail)
     if method == "xi_permutation":
         return xi_test_permutation(x, y, alpha, B=B, seed=seed)
-    if method == "dcor_permutation":
-        return dcor_test_permutation(x, y, alpha, B=B, seed=seed)
-    raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
+    return dcor_test_permutation(x, y, alpha, B=B, seed=seed)
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

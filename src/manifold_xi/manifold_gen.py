@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError, InvalidInputError
+from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
 from .rngs import substream
 
 CASES = ("gaussian", "linear", "quadratic", "cosine", "wshape")
@@ -76,16 +76,11 @@ class ScenarioSpec:
     r_seed: int = 0
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise InvalidInputError(f"unknown case {self.case!r}")
-        if self.transform not in TRANSFORMS:
-            raise InvalidInputError(f"unknown transform {self.transform!r}")
-        if self.m < 1:
-            raise InvalidInputError(f"m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise InvalidInputError(f"n must be >= 1, got {self.n}")
-        if self.rho < 0:
-            raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
+        check_choice("case", self.case, CASES)
+        check_choice("transform", self.transform, TRANSFORMS)
+        check_int("m", self.m, 1)
+        check_int("n", self.n, 1)
+        check_real("rho", self.rho, 0.0)
         if self.case == "gaussian" and self.m * self.rho**2 >= 1.0:
             raise InvalidInputError(
                 f"gaussian case needs m * rho^2 < 1, got m={self.m}, rho={self.rho}")
@@ -130,8 +125,7 @@ def linear_embedding_matrix(m: int, r_seed: int = 0) -> np.ndarray:
     the same matrix, which is what makes linear-embedding power numbers a
     function of the realized matrix (hash it via :func:`matrix_hash`).
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
+    check_int("m", m, 1)
     return substream(r_seed, m).standard_normal((5 * m, m))
 
 

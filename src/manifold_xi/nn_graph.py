@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DuplicatePointsError, InvalidInputError
+from .errors import DuplicatePointsError, InvalidInputError, check_choice, check_int
 from .rngs import parallel_map, substream
 
 # Relative slack used when deciding whether the tree's candidate list
@@ -56,10 +56,8 @@ class PointCloud:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise InvalidInputError(f"points must be a 2-D array, got ndim={pts.ndim}")
-        if pts.shape[0] < 2:
-            raise InvalidInputError(f"need at least 2 points, got {pts.shape[0]}")
-        if pts.shape[1] < 1:
-            raise InvalidInputError("points must have at least one coordinate")
+        check_int("number of points", pts.shape[0], 2)
+        check_int("number of coordinates", pts.shape[1], 1)
         if not np.isfinite(pts).all():
             raise InvalidInputError("points contain non-finite coordinates")
         object.__setattr__(self, "points", pts)
@@ -282,7 +280,8 @@ def count_motifs(graph: NnGraph) -> MotifCounts:
 
 
 def _nn_uniform_sample(m: int, n: int, geometry: str, rng) -> np.ndarray:
-    """NN index of n uniform points on [0,1)^m under the chosen metric."""
+    """NN index of n uniform points on [0,1)^m under the chosen metric (a
+    k=2 query: the verified :func:`_nn_tree` pass is slower on such points)."""
     pts = rng.random((n, m))
     tree = cKDTree(pts, boxsize=1.0) if geometry == "torus" else cKDTree(pts)
     rows = tree.indices  # leaf order: consecutive queries walk the same nodes
@@ -312,14 +311,10 @@ def estimate_constants_empirical(m: int, n: int, reps: int,
     EmpiricalConstants
         Means and standard errors of both frequencies.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if n < 100:
-        raise InvalidInputError(f"n must be >= 100, got {n}")
-    if reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    if geometry not in ("cube", "torus"):
-        raise InvalidInputError(f"unknown geometry {geometry!r}")
+    check_int("m", m, 1)
+    check_int("n", n, 100)
+    check_int("reps", reps, 1)
+    check_choice("geometry", geometry, ("cube", "torus"))
 
     def one(rep: int) -> tuple[float, float]:
         nn = _nn_uniform_sample(m, n, geometry, substream(seed, rep))

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_choice, check_int, check_real
 from .rngs import parallel_map, substream
 
 # Rounded reference constants for m = 1..10 (named dataset, source="table").
@@ -90,10 +90,8 @@ class BallGeometry:
 
 def ball_volume(m: int, r: float = 1.0) -> float:
     """Volume of the radius-``r`` ball in ``R^m``: ``pi^{m/2}/Gamma(m/2+1) r^m``."""
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if r < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {r}")
+    check_int("m", m, 1)
+    check_real("r", r, 0.0)
     return float(math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0) * r**m)
 
 
@@ -133,12 +131,10 @@ def union_volume(m: int, r1: float, r2: float, dist: float) -> float:
     >>> round(union_volume(1, 1.0, 1.0, 1.0), 12)   # [-1,1] union [0,2]
     3.0
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if r1 <= 0 or r2 <= 0:
+    check_int("m", m, 1)
+    if not (check_real("r1", r1, 0.0) > 0 and check_real("r2", r2, 0.0) > 0):
         raise InvalidInputError(f"radii must be positive, got {r1}, {r2}")
-    if dist < 0:
-        raise InvalidInputError(f"distance must be >= 0, got {dist}")
+    check_real("dist", dist, 0.0)
     vm = ball_volume(m)
     v1 = vm * r1**m
     v2 = vm * r2**m
@@ -162,8 +158,7 @@ def nn_pair_limit(m: int) -> float:
     >>> nn_pair_limit(1)
     0.6666666666666666
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
+    check_int("m", m, 1)
     return 1.0 / (2.0 - float(special.betainc((m + 1) / 2.0, 0.5, 0.75)))
 
 
@@ -206,10 +201,8 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     -------
     (estimate, stderr) : tuple of float
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if samples < 10**5:
-        raise InvalidInputError(f"samples must be >= 1e5, got {samples}")
+    check_int("m", m, 1)
+    check_int("samples", samples, 10**5)
     vm = ball_volume(m)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
 
@@ -259,8 +252,8 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
         rows (both constants, ``m <= 10`` only).  ``closed_form`` is exact
         and available only for ``m = 1``.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
+    check_int("m", m, 1)
+    check_choice("source", source, ("monte_carlo", "table", "closed_form"))
     if source == "monte_carlo":
         pair = nn_pair_limit(m)
         triple, stderr = nn_triple_limit_mc(m, samples=o_samples, seed=seed)
@@ -270,14 +263,12 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
         pair = REFERENCE_PAIR_LIMITS[m]
         triple = REFERENCE_TRIPLE_LIMITS[m]
         stderr = 0.0
-    elif source == "closed_form":
+    else:
         if m != 1:
             raise InvalidInputError("closed-form triple limit is only known for m=1")
         pair = nn_pair_limit(1)
         triple = TRIPLE_LIMIT_1D
         stderr = 0.0
-    else:
-        raise InvalidInputError(f"unknown source {source!r}")
     sigma2 = 2.0 / 5.0 + (2.0 / 5.0) * pair + (4.0 / 5.0) * triple
     return NullConstants(m=m, pair_limit=pair, triple_limit=triple,
                          sigma2=sigma2, triple_stderr=stderr, source=source)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, TieError
+from .errors import InvalidInputError, TieError, check_int
 from .nn_graph import PointCloud, as_point_cloud, build_nn_graph
 from .rngs import substream
 
@@ -44,8 +44,7 @@ def _validate_response(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"response must be 1-D, got ndim={y.ndim}")
-    if y.shape[0] < 2:
-        raise InvalidInputError(f"need at least 2 responses, got {y.shape[0]}")
+    check_int("number of responses", y.shape[0], 2)
     if not np.isfinite(y).all():
         raise InvalidInputError("response contains non-finite values")
     return y
@@ -55,11 +54,9 @@ def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray]:
     """Validate paired predictors and responses of equal length ``n >= min_n``."""
     cloud = as_point_cloud(x)
     y = _validate_response(y)
-    n = cloud.n
-    if y.shape[0] != n:
-        raise InvalidInputError(f"length mismatch: {n} points vs {y.shape[0]} responses")
-    if n < min_n:
-        raise InvalidInputError(f"need n >= {min_n}, got {n}")
+    if y.shape[0] != cloud.n:
+        raise InvalidInputError(f"length mismatch: {cloud.n} points vs {y.shape[0]} responses")
+    check_int("n", cloud.n, min_n)
     return cloud, y
 
 
@@ -120,8 +117,7 @@ def min_kernel_moments(samples: int, seed: int = 0) -> KernelMoments:
     and ``A' = 6*min(U_i,U_k)-2``, and returns the sample mean of ``A``,
     of ``A^2``, and of ``A*A'``.  The exact values are 0, 2, and 4/5.
     """
-    if samples < 10**4:
-        raise InvalidInputError(f"samples must be >= 1e4, got {samples}")
+    check_int("samples", samples, 10**4)
     rng = substream(seed)
     u_i = rng.random(samples)
     u_j = rng.random(samples)

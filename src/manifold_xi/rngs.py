@@ -15,14 +15,17 @@ import os
 
 import numpy as np
 
+from .errors import check_int
+
 
 def substream(seed, *path: int) -> np.random.Generator:
     """Return a generator keyed by ``seed`` and an optional index path.
 
     ``seed`` may be a plain integer or a tuple ``(root, i, j, ...)``; extra
-    positional indices are appended to the path.  Distinct paths yield
-    statistically independent streams (``np.random.SeedSequence`` spawn
-    keys), and the same key always yields the same stream.
+    positional indices are appended to the path.  The root must be an
+    integer ``>= 0``.  Distinct paths yield statistically independent
+    streams (``np.random.SeedSequence`` spawn keys), and the same key
+    always yields the same stream.
 
     >>> substream(7, 0).random() == substream(7, 0).random()
     True
@@ -30,25 +33,24 @@ def substream(seed, *path: int) -> np.random.Generator:
     True
     """
     if isinstance(seed, tuple):
-        root, key = seed[0], tuple(seed[1:]) + tuple(path)
-    else:
-        root, key = int(seed), tuple(path)
-    if root < 0:
-        raise ValueError(f"seed must be non-negative, got {root}")
-    return np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=key))
+        seed, path = seed[0], seed[1:] + path
+    root = check_int("seed", seed, 0)
+    return np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=path))
 
 
 def parallel_map(fn, items, threads: int | None = None) -> list:
     """Return ``[fn(item) for item in items]``, computed on a thread pool.
 
-    ``threads`` defaults to the CPU count, capped at 32.  With one worker
-    or at most one item the calls run inline on the calling thread.
+    ``threads`` is ``None`` (the CPU count, capped at 32) or an integer
+    ``>= 1``.  With one worker or at most one item the calls run inline on
+    the calling thread.
 
     >>> parallel_map(lambda i: i * i, range(5), threads=2)
     [0, 1, 4, 9, 16]
     """
+    workers = (min(32, os.cpu_count() or 1) if threads is None
+               else check_int("threads", threads, 1))
     items = list(items)
-    workers = threads or min(32, os.cpu_count() or 1)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

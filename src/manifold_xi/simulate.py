@@ -18,8 +18,8 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, run_test
-from .errors import DatasetFormatError, InvalidInputError
+from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, _check_alpha, run_test
+from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
 from .manifold_gen import (
     CASES,
     TRANSFORMS,
@@ -36,6 +36,8 @@ CSV_HEADER = "case,transform,m,rho,method,n,reps,rejection_rate,mc_stderr,r_matr
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A size/power study; every field is checked as given, never converted."""
+
     cases: tuple
     transforms: tuple
     m_grid: tuple
@@ -50,37 +52,26 @@ class ExperimentConfig:
     xi_tail: str = "right"  # "two_sided" reproduces two-sided-threshold studies
 
     def __post_init__(self):
-        object.__setattr__(self, "cases", tuple(self.cases))
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
-        object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("cases", "transforms", "m_grid", "rho_grid", "methods"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, tuple) and grid):
+                raise InvalidInputError(f"{name} must be a non-empty tuple, got {grid!r}")
         for case in self.cases:
-            if case not in CASES:
-                raise InvalidInputError(f"unknown case {case!r}")
+            check_choice("case", case, CASES)
         for transform in self.transforms:
-            if transform not in TRANSFORMS:
-                raise InvalidInputError(f"unknown transform {transform!r}")
+            check_choice("transform", transform, TRANSFORMS)
         for method in self.methods:
-            if method not in METHODS:
-                raise InvalidInputError(f"unknown method {method!r}")
-        if not (self.cases and self.transforms and self.m_grid and self.rho_grid
-                and self.methods):
-            raise InvalidInputError("grid lists must be non-empty")
-        if any(m < 1 for m in self.m_grid):
-            raise InvalidInputError("m_grid entries must be >= 1")
-        if any(r < 0 for r in self.rho_grid):
-            raise InvalidInputError("rho_grid entries must be >= 0")
-        if self.reps < 1:
-            raise InvalidInputError(f"reps must be >= 1, got {self.reps}")
-        if self.n < 4:
-            raise InvalidInputError(f"n must be >= 4, got {self.n}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.B < 19:
-            raise InvalidInputError(f"B must be >= 19, got {self.B}")
-        if self.xi_tail not in ("right", "two_sided"):
-            raise InvalidInputError(f"unknown xi_tail {self.xi_tail!r}")
+            check_choice("method", method, METHODS)
+        for m in self.m_grid:
+            check_int("m_grid entry", m, 1)
+        for rho in self.rho_grid:
+            check_real("rho_grid entry", rho, 0.0)
+        check_int("n", self.n, 4)
+        check_int("reps", self.reps, 1)
+        _check_alpha(self.alpha)
+        check_int("B", self.B, 19)
+        check_int("master_seed", self.master_seed, 0)
+        check_choice("xi_tail", self.xi_tail, ("right", "two_sided"))
 
 
 @dataclass
@@ -112,8 +103,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise DatasetFormatError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if kwargs.get("threads") in ("auto", None):
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in raw.items()}
+    if kwargs.get("threads") == "auto":
         kwargs["threads"] = None
     try:
         return ExperimentConfig(**kwargs)

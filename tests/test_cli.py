@@ -233,3 +233,46 @@ def test_verify_nng_reports_deviations(capsys):
                          "--geometry", "torus", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "pair rate" in out and "triple rate" in out
+
+
+TINY_CONFIG = {"cases": ["linear"], "transforms": ["identity"], "m_grid": [1],
+               "rho_grid": [0.0], "n": 30, "reps": 2,
+               "methods": ["xi_permutation"], "B": 19}
+
+
+@pytest.mark.parametrize("mistake", [
+    {"threads": "two"}, {"threads": 0}, {"reps": 2.5}, {"reps": True},
+    {"n": 30.5}, {"B": 19.5}, {"master_seed": -1}, {"master_seed": 1.5},
+    {"rho_grid": ["a"]}, {"m_grid": [1.7]}, {"alpha": "0.05"},
+    {"cases": "linear"},
+], ids=lambda mistake: json.dumps(mistake))
+def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                  mistake):
+    # a float for an integer or a bool for a count is refused, not truncated
+    monkeypatch.delenv("XICOR_THREADS", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, **mistake}))
+    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert next(iter(mistake)) in lines[0]  # the message names the key
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--method", "xi_permutation"],
+    ["gen", "--case", "linear", "--m", "1", "--rho", "0.1", "--n", "20"],
+    ["verify-nng", "--m", "1", "--n", "200", "--reps", "2"],
+    ["constants", "--m-max", "1", "--om-samples", "100000"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_an_error_line(tmp_path, capsys, argv):
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1\n" + "".join(f"{(7 * i) % 10}.0,{i}.0\n" for i in range(10)))
+    out = tmp_path / "out.csv"
+    extra = {"test": ["--input", data.as_posix()], "gen": ["--out", out.as_posix()]}
+    assert cli_dispatch(argv + extra.get(argv[0], []) + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: seed must be >= 0")

@@ -187,6 +187,21 @@ class TestXiPermutation:
         with pytest.raises(InvalidInputError):
             xi_test_permutation(x, x[:, 0], B=5)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_index_gather_loop(self, ties):
+        rng = np.random.default_rng(12)
+        x = rng.random((80, 2))
+        y = np.round(x[:, 0] + rng.random(80), 1 if ties else 12)
+        nn = nn_graph.build_nn_graph(x).nn_index
+        ranks = np.searchsorted(np.sort(y), y, side="right")
+        observed = int(np.minimum(ranks, ranks[nn]).sum())
+        perm = substream(4)
+        exceed = 0
+        for _ in range(99):
+            r = ranks[perm.permutation(80)]
+            exceed += int(np.minimum(r, r[nn]).sum()) >= observed
+        assert xi_test_permutation(x, y, B=99, seed=4).p_value == (1 + exceed) / 100
+
 
 class TestDistanceCorrelation:
     def test_identical_variables_give_one(self):
@@ -337,6 +352,16 @@ class TestDcorPermutation:
         batched = substream(11).permuted(np.tile(np.arange(n), (3, 1)), axis=1)
         rng = substream(11)
         assert np.array_equal(batched, [rng.permutation(n) for _ in range(3)])
+
+    @pytest.mark.parametrize("n", [2, 100, 10**5])
+    def test_permuted_ranks_match_gathered_permutations(self, n):
+        # The xi permutation test shuffles the ranks themselves; its p-values
+        # equal the index-gather loop's only while these draws agree.
+        ranks = np.arange(n, 0, -1) // 2  # tied, and not in index order
+        shuffled, gathered = substream(13), substream(13)
+        for _ in range(3):
+            assert np.array_equal(shuffled.permuted(ranks),
+                                  ranks[gathered.permutation(n)])
 
     def test_null_size_is_honest(self):
         rng = np.random.default_rng(20)

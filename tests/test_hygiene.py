@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library's ``ast``:
-no module keeps an import it does not use, and the public name list is
-exact."""
+no module keeps an import it does not use or raises a bare ``ValueError``
+or ``TypeError`` (bad arguments raise ``InvalidInputError``), and the public
+name list is exact."""
 
 import ast
 import collections
@@ -38,6 +39,28 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def bare_builtin_raises(source: str) -> list[str]:
+    """``raise ValueError(...)`` / ``raise TypeError`` statements, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        name = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(name, ast.Name) and name.id in ("ValueError", "TypeError"):
+            found.append(f"{name.id} (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_a_bare_builtin_raise():
+    source = "raise ValueError('x')\nraise TypeError\nraise KeyError('k')\nraise\n"
+    assert bare_builtin_raises(source) == ["ValueError (line 1)", "TypeError (line 2)"]
+    assert bare_builtin_raises("raise errors.InvalidInputError('x')\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_value_or_type_error(path):
+    assert bare_builtin_raises(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

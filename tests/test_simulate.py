@@ -2,17 +2,25 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from manifold_xi import (
     DatasetFormatError,
     ExperimentConfig,
     InvalidInputError,
+    ScenarioSpec,
+    estimate_constants_empirical,
     load_config,
+    nn_pair_limit,
+    nn_triple_limit_mc,
     records_to_csv,
     run_experiment,
+    xi_test_asymptotic,
 )
+from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
+from manifold_xi.rngs import parallel_map, substream
 from manifold_xi.simulate import CSV_HEADER, config_from_dict
 
 
@@ -144,3 +152,52 @@ class TestCsvOutput:
         records_to_csv(records, buf)
         row = buf.getvalue().splitlines()[1].split(",")
         assert row[3] == "0.333333"
+
+
+class TestArgumentTypes:
+    """Each rule checks the type as well as the range."""
+
+    @pytest.mark.parametrize("check, value, minimum", [
+        (check_int, 2.0, 1), (check_int, True, 0), (check_int, "3", 1),
+        (check_int, 0, 1), (check_real, False, 0.0), (check_real, "0.1", 0.0),
+        (check_real, math.nan, 0.0), (check_real, -0.5, 0.0),
+    ])
+    def test_checkers_refuse(self, check, value, minimum):
+        with pytest.raises(InvalidInputError, match="^x must be"):
+            check("x", value, minimum)
+
+    def test_checkers_pass_values_through(self):
+        assert check_int("x", np.int64(3), 1) == 3
+        assert check_real("x", 2, 0.0) == 2
+        assert check_real("x", np.float32(0.5), 0.0) == 0.5
+        assert check_choice("x", "b", ("a", "b")) == "b"
+        for value in ("c", ["a"], None):
+            with pytest.raises(InvalidInputError, match="^x must be one of"):
+                check_choice("x", value, ("a", "b"))
+
+    @pytest.mark.parametrize("call", [
+        lambda: nn_triple_limit_mc(3, samples=1e6),
+        lambda: estimate_constants_empirical(2, 200.0, 3),
+        lambda: xi_test_asymptotic(np.arange(10.0), np.arange(10.0), m=2.5),
+        lambda: nn_pair_limit(2.5),
+        lambda: ScenarioSpec("linear", "identity", m=True, rho=0.1, n=10),
+        lambda: substream(-1),
+        lambda: substream((1.5, 0)),
+        lambda: parallel_map(abs, [1, 2], threads=0),
+    ], ids=["samples", "n", "m", "pair_m", "spec_m", "seed", "tuple_seed", "threads"])
+    def test_api_refuses_wrong_types(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
+    @pytest.mark.parametrize("override", [
+        dict(m_grid=(1.7,)), dict(reps=True), dict(cases="linear"),
+        dict(cases=["linear"]), dict(rho_grid=(math.nan,)), dict(master_seed=-1),
+        dict(xi_tail="left"), dict(B=19.0),
+    ], ids=lambda o: repr(o))
+    def test_config_refuses_without_converting(self, override):
+        with pytest.raises(InvalidInputError):
+            tiny_config(**override)
+
+    def test_config_keeps_values_as_given(self):
+        cfg = tiny_config(rho_grid=(0, 0.5))
+        assert cfg.rho_grid == (0, 0.5) and isinstance(cfg.rho_grid[0], int)
