@@ -21,7 +21,7 @@ from .errors import DegenerateInputError, InvalidInputError, check_choice, check
 from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
-from .rngs import substream
+from .rngs import check_seed, substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
 
@@ -116,11 +116,11 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     """
     _check_alpha(alpha)
     check_int("B", B, 19)
+    rng = substream(seed)
     cloud, y = _validate_pair(x, y, min_n=3)
     nn = build_nn_graph(cloud).nn_index
     ranks = compute_ranks(y)
     observed, value = _xi_from_ranks(ranks, nn)
-    rng = substream(seed)
     exceed = 0
     for _ in range(B):
         shuffled = rng.permuted(ranks)
@@ -131,24 +131,41 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
 
 
 def _centred_distances(a: np.ndarray) -> np.ndarray:
-    """Double-centred Euclidean distance matrix of the rows of ``a``
-    (distances from the row-blocked :func:`_pairwise_sqdist`)."""
+    """Double-centred Euclidean distance matrix of the rows of ``a``.
+
+    The squared distances come from the row-blocked
+    :func:`_pairwise_sqdist`, which adds the squared coordinate differences
+    in numpy's pairwise-summation order (a tier-1 test pins it to
+    numpy's), so the matrix equals the broadcast
+    ``sqrt((diff * diff).sum(-1))`` bit for bit.  The square root and the
+    centring ``((D - row means) - column means) + grand mean`` run in place
+    on that one ``(n, n)`` matrix.
+    """
     if a.ndim == 1:
         a = a[:, None]
-    d = np.sqrt(_pairwise_sqdist(a))
-    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+    d = _pairwise_sqdist(a)
+    np.sqrt(d, out=d)
+    row_mean, col_mean = d.mean(axis=1, keepdims=True), d.mean(axis=0, keepdims=True)
+    grand_mean = d.mean()
+    d -= row_mean
+    d -= col_mean
+    d += grand_mean
+    return d
 
 
 def _dcor_parts(points: np.ndarray, y: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+                ) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
     """Centred distance matrices ``a`` and ``b`` of a validated pair, the
-    distance variances of ``x`` and ``y``, and their geometric mean (the
-    normaliser)."""
+    cross product ``mean(a * b)``, the distance variances of ``x`` and
+    ``y``, and their geometric mean (the normaliser).  The three products
+    are formed in one reused ``(n, n)`` buffer."""
     a = _centred_distances(points)
     b = _centred_distances(y)
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    return a, b, dvar_x, dvar_y, math.sqrt(dvar_x * dvar_y)
+    product = np.multiply(a, a)
+    dvar_x = float(product.mean())
+    dvar_y = float(np.multiply(b, b, out=product).mean())
+    cross = float(np.multiply(a, b, out=product).mean())
+    return a, b, cross, dvar_x, dvar_y, math.sqrt(dvar_x * dvar_y)
 
 
 def dcor_stats(x, y) -> DistanceCorrelation:
@@ -160,8 +177,8 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     ``y`` makes the normalizer zero; that degenerate case reports 0.
     """
     cloud, y = _validate_pair(x, y, min_n=4)
-    a, b, dvar_x, dvar_y, norm = _dcor_parts(cloud.points, y)
-    dcov2 = max(float((a * b).mean()), 0.0)
+    _, _, cross, dvar_x, dvar_y, norm = _dcor_parts(cloud.points, y)
+    dcov2 = max(cross, 0.0)
     if norm <= 0.0:
         return DistanceCorrelation(0.0, dcov2, dvar_x, dvar_y, degenerate=True)
     return DistanceCorrelation(min(max(dcov2 / norm, 0.0), 1.0),
@@ -234,15 +251,16 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     """
     _check_alpha(alpha)
     check_int("B", B, 19)
+    rng = substream(seed)
     cloud, y = _validate_pair(x, y, min_n=4)
-    a, b, _, _, norm = _dcor_parts(cloud.points, y)
+    a, b, observed, _, _, norm = _dcor_parts(cloud.points, y)
     n = cloud.n
     if norm <= 0.0:
         # Degenerate input: every permuted statistic equals the observed 0.
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
-    observed = float((a * b).mean())
-    perms = substream(seed).permuted(np.tile(np.arange(n), (B, 1)), axis=1)
+    slack = _dcor_slack(a, y)  # before the permutation scratch exists
+    perms = rng.permuted(np.tile(np.arange(n), (B, 1)), axis=1)
     fast = np.empty(B)
     block = max(1, min(B, _DCOR_BLOCK_ENTRIES // (n * n)))
     # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
@@ -261,7 +279,6 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
         np.abs(dist, out=dist)
         fast[start:start + m] = dist.reshape(m, -1) @ a_flat
     gap = fast - n * n * observed
-    slack = _dcor_slack(a, y)
     above = gap > slack
     exceed = int(above.sum())
     for i in np.flatnonzero(~(above | (gap < -slack))):
@@ -279,9 +296,12 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
 
     ``m`` and ``tail`` go to the asymptotic test, which requires ``m`` and
     uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
-    to the permutation tests.
+    to the permutation tests.  ``B`` and ``seed`` are checked for every
+    method, so a bad value is refused even where the method ignores it.
     """
     check_choice("method", method, METHODS)
+    check_int("B", B, 19)
+    check_seed(seed)
     if method == "xi_asymptotic":
         if m is None:
             raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")

@@ -12,6 +12,15 @@ that point's row.  Rows small enough in some coordinate for a squared
 difference to underflow to zero are never grouped, so the graph equals the
 all-pairs scan on every finite input.
 
+Every exact squared distance (the all-pairs scan, the candidate check and
+the distance matrices of the dcor baseline) comes from one coordinate-major
+kernel, :func:`_sqdist`.  It adds the squared coordinate differences with
+whole-array operations in numpy's pairwise-summation order for ``d``
+contiguous values (one accumulator below 8 coordinates, eight interleaved
+accumulators up to 128, halves above), so its floats equal numpy's
+``(diff * diff).sum(axis=-1)`` bit for bit; a tier-1 test pins the two
+together.
+
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
 
@@ -123,25 +132,72 @@ class EmpiricalConstants:
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance, reduced over the last axis.
+    """Exact squared Euclidean distances between coordinate-major points.
 
-    Both the brute-force scan and the tree verification pass go through
-    this helper so that candidate distances are bitwise comparable and the
-    smallest-index tie rule is applied to identical floating-point values.
+    ``a[j]`` and ``b[j]`` hold coordinate ``j`` and broadcast together; the
+    result is ``sum_j (a[j] - b[j])**2`` with their broadcast shape.  The
+    squared differences are whole-array operations on up to eight
+    coordinates at once, added in numpy's pairwise-summation order for a
+    reduction over ``d`` contiguous values, so the floats equal the
+    row-major ``(diff * diff).sum(axis=-1)`` bit for bit (a tier-1 test
+    pins this):
+
+    * ``d < 8``: one accumulator, coordinates added in order;
+    * ``8 <= d <= 128``: eight accumulators, accumulator ``r`` taking the
+      coordinates ``j = r (mod 8)`` below ``d - d % 8``, combined as
+      ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+      remaining coordinates added in order;
+    * ``d > 128``: split at ``h = d//2 - (d//2) % 8``, sum both parts
+      recursively, then add them.
+
+    Every exact distance in this module (the all-pairs scan, the tree's
+    candidate check and the row scan) comes from this one function, so
+    candidates are compared, and the smallest-index tie rule applied, on
+    identical floating-point values.
     """
-    diff = a - b
-    return (diff * diff).sum(axis=-1)
+    d = len(a)
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        total = _sqdist(a[:half], b[:half])
+        total += _sqdist(a[half:], b[half:])
+        return total
+
+    def squares(start: int, stop: int) -> np.ndarray:
+        diff = np.subtract(a[start:stop], b[start:stop])
+        return np.multiply(diff, diff, out=diff)
+
+    if d < 8:
+        rest = squares(0, d)
+        total, rest = rest[0], rest[1:]
+    else:
+        end = d - d % 8
+        acc = squares(0, 8)
+        for start in range(8, end, 8):
+            acc += squares(start, start + 8)
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        total, rest = acc[0], squares(end, d)
+    for term in rest:
+        total += term
+    return total
 
 
 def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
-    """Exact ``(n, n)`` squared distances between the rows of ``pts``,
-    filled by :func:`_sqdist` in row blocks of ``(rows, n, d)`` scratch
-    within ``_BRUTE_BLOCK_ENTRIES``; the block size changes no value."""
+    """Exact ``(n, n)`` squared distances between the rows of ``pts``.
+
+    :func:`_sqdist` fills them from the transposed coordinates in row
+    blocks of ``rows x n x d`` within ``_BRUTE_BLOCK_ENTRIES``, adding the
+    squared coordinate differences in numpy's pairwise-summation order (a
+    tier-1 test pins it to numpy's); the block size changes no value.
+    """
     n, d = pts.shape
+    cols = np.ascontiguousarray(pts.T)
     out = np.empty((n, n))
     block = max(1, _BRUTE_BLOCK_ENTRIES // (n * d))
     for start in range(0, n, block):
-        out[start:start + block] = _sqdist(pts[start:start + block, None, :], pts)
+        rows = cols[:, start:start + block, None]
+        out[start:start + block] = _sqdist(rows, cols[:, None, :])
     return out
 
 
@@ -153,20 +209,23 @@ def _nn_brute(pts: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def _nn_brute_row(pts: np.ndarray, i: int) -> int:
-    d2 = _sqdist(pts, pts[i])
+def _nn_brute_row(cols: np.ndarray, i: int) -> int:
+    """Nearest neighbor of point ``i`` by an exact scan (``cols = pts.T``)."""
+    d2 = _sqdist(cols, cols[:, i, None])
     d2[i] = np.inf
     return int(d2.argmin())
 
 
-def _verified_candidates(tree: cKDTree, pts: np.ndarray, rows: np.ndarray, k: int):
+def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
+                         rows: np.ndarray, k: int):
     """Nearest neighbors of ``pts[rows]`` proposed by the tree's ``k`` nearest.
 
     The candidates' exact squared distances are recomputed with
-    :func:`_sqdist` (in row blocks of ``(rows, k, d)`` scratch within
-    ``_BRUTE_BLOCK_ENTRIES``) and the smallest-index tie rule applied.
-    Returns the chosen indices, their exact squared distances and a mask of
-    the rows whose list cannot provably contain the exact nearest neighbor.
+    :func:`_sqdist` from ``cols = pts.T`` (gathered in row blocks of
+    ``(d, rows, k)`` within ``_BRUTE_BLOCK_ENTRIES``) and the
+    smallest-index tie rule applied.  Returns the chosen indices, their
+    exact squared distances and a mask of the rows whose list cannot
+    provably contain the exact nearest neighbor.
     """
     dist, cand = tree.query(pts[rows], k=k)
     d = pts.shape[1]
@@ -174,7 +233,8 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, rows: np.ndarray, k: in
     block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
     for start in range(0, len(rows), block):
         blk = slice(start, start + block)
-        d2[blk] = _sqdist(pts[cand[blk]], pts[rows[blk], None, :])
+        d2[blk] = _sqdist(np.take(cols, cand[blk], axis=1),
+                          np.take(cols, rows[blk], axis=1)[:, :, None])
     d2[cand == rows[:, None]] = np.inf  # mask self wherever it appears
     best = d2.min(axis=1)
     nn = np.where(d2 <= best[:, None], cand, len(pts)).min(axis=1)
@@ -219,9 +279,11 @@ def _nn_tree(pts: np.ndarray) -> np.ndarray:
     """
     n = len(pts)
     tree = cKDTree(pts)
+    cols = np.ascontiguousarray(pts.T)
     order = tree.indices
     nn, best, unsure = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
-    nn[order], best[order], unsure[order] = _verified_candidates(tree, pts, order, min(n, 3))
+    nn[order], best[order], unsure[order] = _verified_candidates(tree, pts, cols, order,
+                                                                 min(n, 3))
     # Exact copies share their tree answers and exact distances, so every
     # copy of an unsettled zero-distance row is itself one of those rows.
     copies = unsure & (best == 0.0)
@@ -233,9 +295,9 @@ def _nn_tree(pts: np.ndarray) -> np.ndarray:
         unsure &= ~copies
     if unsure.any():
         rows = order[unsure[order]]
-        nn[rows], _, still = _verified_candidates(tree, pts, rows, min(n, 8))
+        nn[rows], _, still = _verified_candidates(tree, pts, cols, rows, min(n, 8))
         for i in rows[still]:
-            nn[i] = _nn_brute_row(pts, i)
+            nn[i] = _nn_brute_row(cols, i)
     return nn
 
 

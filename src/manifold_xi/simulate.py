@@ -29,7 +29,7 @@ from .manifold_gen import (
     matrix_hash,
 )
 from .null_constants import default_null_constants
-from .rngs import parallel_map
+from .rngs import parallel_map, worker_count
 
 CSV_HEADER = "case,transform,m,rho,method,n,reps,rejection_rate,mc_stderr,r_matrix_hash,elapsed_ms"
 
@@ -168,6 +168,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     :class:`PowerRecord`) and the run continues.  ``log``, if given, gets
     a progress line per computed (cell, method), none for skipped cells.
     """
+    workers = worker_count(config.threads)  # refuse a bad value before any work
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
     if "xi_asymptotic" in config.methods:
@@ -184,7 +185,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
                         f"{rec.method}: rate={rec.rejection_rate:.4f}")
         return records
 
-    flat = [rec for records in parallel_map(run, cells, config.threads)
+    flat = [rec for records in parallel_map(run, cells, workers)
             for rec in records]
     flat.sort(key=lambda r: (r.case, r.transform, r.m, r.rho, r.method))
     return flat

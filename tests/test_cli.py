@@ -95,6 +95,19 @@ def test_test_requires_dim_for_asymptotic(three_points, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--permutations", "5"],
+                                   ["--seed", "-1", "--permutations", "5"]],
+                         ids=["seed", "B", "both"])
+def test_test_checks_unused_arguments(three_points, capsys, extra):
+    # xi_asymptotic ignores B and seed, but a bad value is still refused
+    assert cli_dispatch(["test", "--input", three_points, "--method", "xi_asymptotic",
+                         "--dim", "1"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_test_non_finite_predictor_exits_one(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     rows = [f"{i}.0,{i}.0" for i in range(10)]

@@ -257,6 +257,23 @@ class TestDistanceCorrelation:
         # averages.  The all-at-once difference alone is n * n * d entries.
         assert peak <= 8 * (2 * bound + 6 * n * n)
 
+    def test_scratch_peak_stays_near_three_matrices(self):
+        # a, b and one reused product buffer (stats), or a, b, one block of
+        # |z_i - z_j| and the (B, n) permutations (the test); before, the
+        # centring temporaries and the three products made 5.0 n^2
+        rng = np.random.default_rng(24)
+        n = 600
+        x = rng.standard_normal((n, 1))
+        y = rng.standard_normal(n)
+        for call in (lambda: dcor_stats(x, y), lambda: dcor_test_permutation(x, y)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * 8 * n * n
+
 
 class TestDcorPermutation:
     def test_statistic_invariant_under_joint_relabeling(self):
@@ -288,6 +305,11 @@ class TestDcorPermutation:
         x = np.random.default_rng(19).random((20, 1))
         res = dcor_test_permutation(x, np.zeros(20), B=39, seed=0)
         assert res.p_value == 1.0 and res.statistic == 0.0
+
+    def test_degenerate_input_still_checks_the_seed(self):
+        x = np.random.default_rng(19).random((30, 1))
+        with pytest.raises(InvalidInputError, match="seed"):
+            dcor_test_permutation(x, np.ones(30), seed=-1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x_refused(self, bad):
@@ -409,6 +431,15 @@ class TestRunTest:
             run_test("pearson", x, y)
         with pytest.raises(InvalidInputError):
             run_test("xi_asymptotic", x, y)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(seed=(1.5, 0)), dict(seed=(0, -1)),
+                                     dict(B=5)],
+                             ids=["seed", "tuple_seed", "tuple_path", "B"])
+    def test_checks_every_argument_for_every_method(self, method, bad):
+        x = np.random.default_rng(25).random((30, 1))
+        with pytest.raises(InvalidInputError, match="seed" if "seed" in bad else "B"):
+            run_test(method, x, np.ones(30), m=1, **bad)
 
 
 class TestResultRecord:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,86 @@ class TestBuildGraph:
         pts = np.array([[5.0], [1.0], [1.0], [1.0]])
         assert build_nn_graph(pts).nn_index.tolist() == [1, 2, 1, 1]
         assert _nn_brute(pts).tolist() == [1, 2, 1, 1]
+
+
+def _row_major_sqdist(a, b):
+    """The broadcast-and-reduce squared distance the kernel must equal."""
+    diff = a - b
+    return (diff * diff).sum(axis=-1)
+
+
+def _kernel_cloud(rng, n, d, scale, tied):
+    pts = rng.standard_normal((n, d))
+    if tied:  # repeated values, -0.0 and exact duplicate rows
+        pts = np.round(pts, 1)
+        pts[:, 0] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        pts[-1] = pts[0]
+    return pts * scale
+
+
+KERNEL_DIMS = list(range(1, 140)) + [200, 257, 300, 513]
+# every branch of the summation order and its edges, for the larger n
+KERNEL_EDGE_DIMS = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 137, 257, 513]
+
+
+class TestSquaredDistanceKernel:
+    """The coordinate-major kernel equals numpy's reduction bit for bit.
+
+    Scale 1e-160 makes squares underflow, 1e150 makes them near the top of
+    the range and 1e155 makes some of them (and their sums) overflow to inf.
+    """
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 100, 131])
+    def test_pairwise_equals_numpy_reduction(self, n):
+        rng = np.random.default_rng(n)
+        dims = KERNEL_DIMS if n <= 30 else KERNEL_EDGE_DIMS
+        overflowed = False
+        with np.errstate(over="ignore", under="ignore"):
+            for d in dims:
+                for scale in (1.0, 1e-160, 1e150, 1e155):
+                    for tied in (False, True):
+                        pts = _kernel_cloud(rng, n, d, scale, tied)
+                        ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
+                        cols = np.ascontiguousarray(pts.T)
+                        got = nn_graph._sqdist(cols[:, :, None], cols[:, None, :])
+                        assert got.dtype == ref.dtype and got.shape == ref.shape
+                        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                            (n, d, scale, tied)
+                        if scale == 1.0:
+                            assert np.array_equal(nn_graph._pairwise_sqdist(pts), ref)
+                        overflowed |= bool(np.isinf(ref).any())
+        assert overflowed
+
+    def test_scratch_is_freed_on_return(self):
+        # a reference cycle (say, a self-calling closure) would keep every
+        # call's gathers alive until the next garbage collection
+        cols = np.random.default_rng(3).standard_normal((300, 50))
+        gc.collect()
+        gc.disable()
+        try:
+            nn_graph._sqdist(cols[:, :, None], cols[:, None, :])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 9, 50, 129, 257])
+    def test_candidate_shape_equals_numpy_reduction(self, d):
+        # the tree pass: (d, rows, k) gathers of the candidates' coordinates
+        rng = np.random.default_rng(d)
+        n, k = 40, 8
+        with np.errstate(over="ignore", under="ignore"):
+            for scale in (1.0, 1e-160, 1e155):
+                for tied in (False, True):
+                    pts = _kernel_cloud(rng, n, d, scale, tied)
+                    cols = np.ascontiguousarray(pts.T)
+                    rows = rng.permutation(n)[:25]
+                    cand = rng.integers(0, n, size=(25, k))
+                    ref = _row_major_sqdist(pts[cand], pts[rows, None, :])
+                    got = nn_graph._sqdist(np.take(cols, cand, axis=1),
+                                           np.take(cols, rows, axis=1)[:, :, None])
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                    row = nn_graph._sqdist(cols, cols[:, 7, None])  # one row's scan
+                    assert np.array_equal(row, _row_major_sqdist(pts, pts[7]))
 
 
 class TestTreeBruteEquivalence:
@@ -174,7 +256,9 @@ class TestTreeBruteEquivalence:
         exact = nn_graph._sqdist
 
         def recording(a, b):
-            scratch.append(np.broadcast(a, b).shape)  # the (rows, k or n, d) temporary
+            # coordinate-major: d coordinates of (rows, k or n), recorded as
+            # the (rows, k or n, d) block they cover
+            scratch.append(np.broadcast(a[0], b[0]).shape + (len(a),))
             return exact(a, b)
 
         monkeypatch.setattr(nn_graph, "_sqdist", recording)

@@ -18,6 +18,7 @@ from manifold_xi import (
     run_experiment,
     xi_test_asymptotic,
 )
+from manifold_xi import simulate
 from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
 from manifold_xi.rngs import parallel_map, substream
@@ -129,6 +130,15 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         by_rho = {r.rho: r.rejection_rate for r in records}
         assert by_rho[0.9] > by_rho[0.0] + 0.3
+
+    def test_bad_threads_refused_before_the_constants(self, monkeypatch):
+        # the cold null constants take seconds; a bad threads value must not pay them
+        warmed = []
+        monkeypatch.setattr(simulate, "default_null_constants", warmed.append)
+        cfg = tiny_config(m_grid=(4, 6), methods=("xi_asymptotic",), threads="two")
+        with pytest.raises(InvalidInputError, match="threads"):
+            run_experiment(cfg)
+        assert warmed == []
 
     def test_output_sorted_deterministically(self):
         cfg = tiny_config(cases=("wshape", "linear"), rho_grid=(0.2, 0.0))
