@@ -2,15 +2,22 @@
 
 Each point gets exactly one outgoing edge, to its Euclidean nearest
 neighbor (distance ties broken by smallest index), found by one exact
-kd-tree kernel for every sample size and ambient dimension.  The kernel
-queries the tree in the tree's own leaf order and asks for a short list of
-three candidates per point; exact squared distances and the smallest-index
-rule pick among them.  The few points that list cannot settle are resolved
-by cause: exact copies by grouping equal rows, near-ties (lattices) by a
-second query with eight candidates, and anything left by an exact scan of
-that point's row.  Rows small enough in some coordinate for a squared
-difference to underflow to zero are never grouped, so the graph equals the
-all-pairs scan on every finite input.
+kd-tree kernel for every sample size and ambient dimension:
+
+1. Exact copies are merged first.  If column 0 holds ``n`` distinct
+   values the rows are distinct and nothing is merged; otherwise
+   ``np.unique`` maps each row to the smallest index of its equal rows.
+   A copy points to the smallest index of another copy, which is the
+   all-pairs answer.  Rows small enough in some coordinate for a squared
+   difference to underflow to zero are never merged, so the graph equals
+   the all-pairs scan on every finite input.
+2. The kd-tree is built on the remaining rows, in index order, and
+   queried in its own leaf order for three candidates per row; exact
+   squared distances and the smallest-index rule pick among them.
+3. Rows that short list cannot provably settle (near-ties, such as
+   lattices) are queried again with eight candidates, and anything left
+   gets an exact scan of its own row.
+4. Every other row points to the smallest index of its neighbor's copies.
 
 Every exact squared distance (the all-pairs scan, the candidate check and
 the distance matrices of the dcor baseline) comes from one coordinate-major
@@ -81,7 +88,8 @@ class PointCloud:
 
     def require_distinct(self) -> "PointCloud":
         """Raise :class:`DuplicatePointsError` if two rows coincide."""
-        if np.unique(self.points, axis=0).shape[0] < self.n:
+        if (not _first_column_distinct(self.points)
+                and np.unique(self.points, axis=0).shape[0] < self.n):
             raise DuplicatePointsError("point cloud contains duplicate rows")
         return self
 
@@ -216,6 +224,12 @@ def _nn_brute_row(cols: np.ndarray, i: int) -> int:
     return int(d2.argmin())
 
 
+def _first_column_distinct(pts: np.ndarray) -> bool:
+    """Whether column 0 alone tells every row apart (so the rows are distinct)."""
+    col = np.sort(pts[:, 0])
+    return bool((col[1:] != col[:-1]).all())
+
+
 def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
                          rows: np.ndarray, k: int):
     """Nearest neighbors of ``pts[rows]`` proposed by the tree's ``k`` nearest.
@@ -223,9 +237,9 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     The candidates' exact squared distances are recomputed with
     :func:`_sqdist` from ``cols = pts.T`` (gathered in row blocks of
     ``(d, rows, k)`` within ``_BRUTE_BLOCK_ENTRIES``) and the
-    smallest-index tie rule applied.  Returns the chosen indices, their
-    exact squared distances and a mask of the rows whose list cannot
-    provably contain the exact nearest neighbor.
+    smallest-index tie rule applied.  Returns the chosen indices and a mask
+    of the rows whose list cannot provably contain the exact nearest
+    neighbor.
     """
     dist, cand = tree.query(pts[rows], k=k)
     d = pts.shape[1]
@@ -239,80 +253,62 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     best = d2.min(axis=1)
     nn = np.where(d2 <= best[:, None], cand, len(pts)).min(axis=1)
     if k == len(pts):
-        return nn, best, np.zeros(len(rows), dtype=bool)
+        return nn, np.zeros(len(rows), dtype=bool)
     # Points outside the candidate list are at least as far (by the tree's
     # arithmetic) as the k-th candidate, so the exact minimum is provably
     # inside the list when it beats that bound with slack.
-    return nn, best, ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+    return nn, ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
 
 
-def _copy_groups_nn(pts: np.ndarray) -> np.ndarray:
-    """For rows that each have an exact copy among them, the smallest index
-    of another copy (indices into ``pts``)."""
-    _, group, size = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
-    group = group.ravel()
-    by_group = np.argsort(group, kind="stable")  # each group's rows, by index
-    start = np.cumsum(size) - size
-    first, second = by_group[start][group], by_group[start + 1][group]
-    return np.where(first == np.arange(len(pts)), second, first)
+def _nn_distinct(pts: np.ndarray) -> np.ndarray:
+    """Exact nearest neighbors of rows no two of which are merged copies."""
+    n = len(pts)
+    tree = cKDTree(pts)
+    cols = np.ascontiguousarray(pts.T)
+    order = tree.indices  # leaf order: consecutive queries walk the same nodes
+    nn, unsure = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    nn[order], unsure[order] = _verified_candidates(tree, pts, cols, order, min(n, 3))
+    if unsure.any():
+        rows = order[unsure[order]]
+        nn[rows], still = _verified_candidates(tree, pts, cols, rows, min(n, 8))
+        for i in rows[still]:
+            nn[i] = _nn_brute_row(cols, i)
+    return nn
 
 
 def _nn_tree(pts: np.ndarray) -> np.ndarray:
     """Exact kd-tree nearest neighbors, identical to :func:`_nn_brute`.
 
-    The tree is queried in its own leaf order (``tree.indices``), so
-    consecutive queries walk the same nodes, and the answers are scattered
-    back to row order.  Every row first gets a short list of ``k = 3``
-    candidates, verified by :func:`_verified_candidates`.  The rows that
-    list cannot settle are resolved by cause:
-
-    * exact copies (an exact best distance of zero) are grouped with
-      ``np.unique``; each gets the smallest index of another copy, which is
-      the all-pairs answer.  Squared distance zero means equal rows unless
-      a difference below about ``2**-537`` squares to zero, which needs
-      both values below ``2**-485`` in magnitude.  So a row that small in a
-      coordinate where some row holds a nonzero value that small is not
-      grouped (``2**-480`` leaves a margin);
-    * every other unsettled row (near-ties, such as lattices) is queried
-      again, in leaf order, with ``k = 8`` candidates and the same proof;
-    * rows still unsettled get an exact brute scan of their own.
+    Returns, for each row, the smallest index among its nearest other rows.
     """
+    if _first_column_distinct(pts):
+        return _nn_distinct(pts)
     n = len(pts)
-    tree = cKDTree(pts)
-    cols = np.ascontiguousarray(pts.T)
-    order = tree.indices
-    nn, best, unsure = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
-    nn[order], best[order], unsure[order] = _verified_candidates(tree, pts, cols, order,
-                                                                 min(n, 3))
-    # Exact copies share their tree answers and exact distances, so every
-    # copy of an unsettled zero-distance row is itself one of those rows.
-    copies = unsure & (best == 0.0)
-    if copies.any():
-        small = np.abs(pts) < 2.0**-480
-        copies &= ~small[:, (small & (pts != 0.0)).any(axis=0)].any(axis=1)
-        rows = np.flatnonzero(copies)
-        nn[rows] = rows[_copy_groups_nn(pts[rows])]
-        unsure &= ~copies
-    if unsure.any():
-        rows = order[unsure[order]]
-        nn[rows], _, still = _verified_candidates(tree, pts, cols, rows, min(n, 8))
-        for i in rows[still]:
-            nn[i] = _nn_brute_row(cols, i)
+    _, first, group = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    rep = first[group.ravel()]
+    # A difference below about 2**-537 squares to zero, which needs both
+    # values below 2**-485 in magnitude; 2**-480 leaves a margin.
+    small = np.abs(pts) < 2.0**-480
+    unmerged = small[:, (small & (pts != 0.0)).any(axis=0)].any(axis=1)
+    rep[unmerged] = np.flatnonzero(unmerged)
+    own = rep == np.arange(n)
+    keep, copy = np.flatnonzero(own), np.flatnonzero(~own)
+    nn = np.empty(n, dtype=np.intp)
+    if len(keep) > 1:  # a neighbor's index is already its group's smallest
+        nn[keep] = keep[_nn_distinct(pts[keep])]
+    # a row with copies points to the smallest index of another copy
+    owner, first_copy = np.unique(rep[copy], return_index=True)
+    nn[owner] = copy[first_copy]
+    nn[copy] = rep[copy]
     return nn
 
 
 def build_nn_graph(cloud) -> NnGraph:
     """Build the directed Euclidean nearest-neighbor graph.
 
-    The kd-tree kernel :func:`_nn_tree` runs for every ``n`` and ``d``:
-    a leaf-ordered query for three candidates per point, re-verified with
-    exact distances and the smallest-index tie rule, so the graph equals
-    the all-pairs scan on any input.  Duplicate rows are zero-distance
-    ties: each copy points to the smallest-index other copy, found by
-    grouping equal rows rather than by scanning.  Near-ties are re-queried
-    with eight candidates; only a point with more near-ties than that (or
-    coordinates so small that squared differences underflow) gets a scan of
-    its own row.
+    Each row points to the smallest index among its nearest other rows, by
+    exact squared distances, so the graph equals the all-pairs scan on any
+    input; a duplicate row points to the smallest index of another copy.
 
     Parameters
     ----------

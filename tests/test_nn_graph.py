@@ -218,11 +218,17 @@ class TestTreeBruteEquivalence:
         # -0.0 and 0.0 are equal rows
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [0.0, 1.0], [-0.0, 1.0]])
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # every row identical: no distinct pair is left for the tree
+        for n in (2, 50):
+            pts = np.tile([1.5, -2.0], (n, 1))
+            assert (_nn_tree(pts) == _nn_brute(pts)).all()
 
     @pytest.mark.parametrize("pts", [
         [[1e-170], [0.0], [0.0], [5.0], [6.0]],
         [[1e-170, 1.0], [0.0, 1.0], [0.0, 1.0], [3.0, 3.0]],
         [[0.0], [1e-170], [0.0], [0.0]],
+        # mergeable copies beside the rows that must stay apart
+        [[1e-170, 1.0], [0.0, 1.0], [0.0, 1.0], [3.0, 3.0], [3.0, 3.0]],
     ])
     def test_underflowing_distances_are_not_copies(self, pts):
         # (1e-170)**2 underflows to 0, so these rows tie at distance zero
@@ -231,15 +237,26 @@ class TestTreeBruteEquivalence:
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
 
     def test_copies_and_generic_clouds_need_no_row_scans(self, monkeypatch):
-        # a per-row scan is O(n); one for every copy made the graph quadratic
-        scans = []
-        scan = nn_graph._nn_brute_row
+        # a per-row scan is O(n); one for every copy made the graph quadratic,
+        # and so does a tree built on copies it cannot split
+        scans, tree_rows, unique_axes = [], [], []
+        scan, tree, unique = nn_graph._nn_brute_row, nn_graph.cKDTree, np.unique
         monkeypatch.setattr(nn_graph, "_nn_brute_row",
                             lambda pts, i: scans.append(i) or scan(pts, i))
+        monkeypatch.setattr(nn_graph, "cKDTree",
+                            lambda pts: tree_rows.append(len(pts)) or tree(pts))
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: unique_axes.append(
+            kw.get("axis")) or unique(*a, **kw))
         rng = np.random.default_rng(13)
-        for pts in (rng.standard_normal(10)[rng.integers(0, 10, size=2000)][:, None],
-                    rng.random((1000, 3))):
-            assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        pts = rng.standard_normal(10)[rng.integers(0, 10, size=2000)][:, None]
+        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        assert tree_rows == [10]
+        # column 0 proves continuous rows distinct: no sort of whole rows
+        tree_rows.clear()
+        unique_axes.clear()
+        pts = rng.random((1000, 3))
+        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        assert tree_rows == [1000] and 0 not in unique_axes
         assert scans == []
 
     def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):
@@ -385,3 +402,16 @@ def test_point_cloud_properties():
     assert (cloud.n, cloud.d) == (2, 2)
     with pytest.raises(InvalidInputError):
         PointCloud(np.zeros((2, 2, 2)))
+
+
+def test_require_distinct_sorts_rows_only_when_column_zero_repeats(monkeypatch):
+    unique_axes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: unique_axes.append(
+        kw.get("axis")) or unique(*a, **kw))
+    PointCloud(np.random.default_rng(15).random((1000, 3))).require_distinct()
+    assert 0 not in unique_axes
+    PointCloud(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]])).require_distinct()
+    assert 0 in unique_axes
+    with pytest.raises(DuplicatePointsError):
+        PointCloud(np.array([[1.0, 2.0], [-0.0, 3.0], [0.0, 3.0]])).require_distinct()
