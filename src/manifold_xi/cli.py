@@ -37,6 +37,7 @@ from .nn_graph import estimate_constants_empirical
 from .null_constants import (
     DEFAULT_SEED,
     DEFAULT_TRIPLE_SAMPLES,
+    ball_volume,
     constants_as_dict,
     default_null_constants,
     null_variance,
@@ -105,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_constants(args) -> int:
     check_int("--m-max", args.m_max, 1)
+    ball_volume(args.m_max)  # refuse an m too large for the constants before any row
     rows = []
     for m in range(1, args.m_max + 1):
         if args.source == "table":

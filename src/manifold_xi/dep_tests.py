@@ -75,8 +75,9 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     where the power lives.  ``tail="two_sided"`` (``p = 2 Phi(-|z|)``)
     instead rejects for large ``|z|``; use it to reproduce power studies
     whose thresholds were the two-sided normal critical values.
-    ``constants`` defaults to the cached Monte-Carlo constants for ``m``
-    (first use per dimension pays the sampling cost once).
+    ``constants`` defaults to the Monte-Carlo constants for ``m``
+    (:func:`default_null_constants`): stored for ``m <= 10``, sampled
+    once per process for a larger ``m``, which must be below 342.
 
     Raises
     ------

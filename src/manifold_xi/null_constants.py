@@ -22,6 +22,12 @@ where ``m`` is the intrinsic (manifold) dimension of the predictors and
   volumes of the two caps that make up the lens from an elementary
   recurrence.
 
+The default estimate (``DEFAULT_TRIPLE_SAMPLES`` samples at
+``DEFAULT_SEED``) is stored for ``m = 1..10`` as the sampler's own floats,
+so :func:`null_variance` serves those rows without sampling; the test
+suite regenerates every stored row with the sampler.  Any other sample
+size, seed or dimension is sampled on the call.
+
 The module also ships a reference table of rounded constants for
 ``m = 1..10`` as a named dataset (``source="table"``), so downstream
 results can be pinned against the published numbers independently of any
@@ -41,7 +47,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError, check_choice, check_int, check_real
-from .rngs import parallel_map, substream
+from .rngs import check_seed, parallel_map, substream
 
 # Rounded reference constants for m = 1..10 (named dataset, source="table").
 REFERENCE_PAIR_LIMITS = {
@@ -60,7 +66,23 @@ TRIPLE_LIMIT_1D = 0.5
 DEFAULT_TRIPLE_SAMPLES = 10**6
 DEFAULT_SEED = 20260808
 
+# nn_triple_limit_mc(m) at the default samples and seed, as (estimate,
+# stderr) for m = 1..10; null_variance serves these rows without sampling.
+_DEFAULT_TRIPLE_ROWS = {
+    1: (0.500427, 0.0005000000676710631),
+    2: (0.6333021092098782, 0.0005356382082533277),
+    3: (0.708881785736494, 0.0005078424007278138),
+    4: (0.7629502009171988, 0.00047224447326016866),
+    5: (0.8034065458291988, 0.00043716425964187135),
+    6: (0.8361224279176596, 0.00040327564686978856),
+    7: (0.8627541728546015, 0.00037178099585979507),
+    8: (0.8850708422344746, 0.000341942306417336),
+    9: (0.9025690231381989, 0.0003155208664780083),
+    10: (0.9174772438099361, 0.0002909357195407749),
+}
+
 _MC_BLOCK = 2**19
+_MC_CHUNK = 2**14  # rows of the second direction draw held at once
 
 
 @dataclass(frozen=True)
@@ -89,10 +111,23 @@ class BallGeometry:
 
 
 def ball_volume(m: int, r: float = 1.0) -> float:
-    """Volume of the radius-``r`` ball in ``R^m``: ``pi^{m/2}/Gamma(m/2+1) r^m``."""
+    """Volume of the radius-``r`` ball in ``R^m``: ``pi^{m/2}/Gamma(m/2+1) r^m``.
+
+    Refuses ``m >= 342``, where the unit-ball volume is not a positive
+    finite float (``Gamma(m/2 + 1)`` overflows, and so, from ``m = 1241``,
+    does ``pi^{m/2}``).
+    """
     check_int("m", m, 1)
     check_real("r", r, 0.0)
-    return float(math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0) * r**m)
+    try:
+        unit = math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
+    except OverflowError:
+        unit = math.inf
+    if not 0.0 < unit < math.inf:
+        raise InvalidInputError(
+            f"the unit-ball volume for m={m} is not a positive finite float; "
+            "m must be below 342")
+    return float(unit * r**m)
 
 
 def _cap_fractions(m: int, c_over_r: np.ndarray) -> np.ndarray:
@@ -192,7 +227,8 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     two raw normal direction draws and ``gap^2 = r1^2 + r2^2 - 2 r1 r2 cos``
     (on the region ``gap > max(r1, r2)``, so neither offset is negative).
     The cap fraction ``F_m`` comes from the recurrence in
-    ``_cap_fractions``; the points themselves are never formed.  Sampling is
+    ``_cap_fractions``; the points themselves are never formed, and the
+    second direction is drawn ``_MC_CHUNK`` rows at a time.  Sampling is
     blocked, with one substream per block fanned out by
     :func:`~manifold_xi.rngs.parallel_map`, so the result is deterministic
     for a given seed regardless of thread count.
@@ -211,19 +247,27 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
         rng = substream(seed, block)
         mass = rng.exponential(size=(2, size))  # V_m r^m ~ Exp(1)
         radius = (mass / vm) ** (1.0 / m)
-        g = rng.standard_normal((2, size, m))
-        cos = np.einsum("jk,jk->j", g[0], g[1])
-        cos /= np.sqrt(np.prod(np.einsum("ijk,ijk->ij", g, g), axis=0))
-        r1, r2 = radius
-        gap = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos
-        np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
-        admissible = np.maximum(r1, r2) < gap
-        radius, mass = radius[:, admissible], mass[:, admissible]
-        cos, gap = cos[admissible], gap[admissible]
-        # gap > max(r1, r2) makes both plane offsets (r1 - r2 cos) / gap and
-        # (r2 - r1 cos) / gap non-negative: the lens is two minor caps.
-        caps = _cap_fractions(m, (radius - radius[::-1] * cos) / gap)
-        log_w = (mass * caps).sum(axis=0)
+        g0 = rng.standard_normal((size, m))
+        # The second direction is drawn in chunks into one buffer: the same
+        # stream as a single (size, m) draw, at a fraction of the scratch.
+        buf = np.empty((min(size, _MC_CHUNK), m))
+        log_w = []
+        for lo in range(0, size, _MC_CHUNK):
+            hi = min(lo + _MC_CHUNK, size)
+            a, b = g0[lo:hi], rng.standard_normal(out=buf[:hi - lo])
+            cos = np.einsum("jk,jk->j", a, b)
+            cos /= np.sqrt(np.einsum("jk,jk->j", a, a) * np.einsum("jk,jk->j", b, b))
+            rad = radius[:, lo:hi]
+            r1, r2 = rad
+            gap = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos
+            np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
+            admissible = np.maximum(r1, r2) < gap
+            rad, cos, gap = rad[:, admissible], cos[admissible], gap[admissible]
+            # gap > max(r1, r2) makes both plane offsets (r1 - r2 cos) / gap
+            # and (r2 - r1 cos) / gap non-negative: the lens is two minor caps.
+            caps = _cap_fractions(m, (rad - rad[::-1] * cos) / gap)
+            log_w.append((mass[:, lo:hi][:, admissible] * caps).sum(axis=0))
+        log_w = np.concatenate(log_w)
         if log_w.size and log_w.min() < -1e-9:
             raise AssertionError("importance weight below 1 on the exclusion region")
         weights = np.exp(log_w)
@@ -248,15 +292,22 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
     source : {"monte_carlo", "table", "closed_form"}
         Where the constants come from.  ``monte_carlo`` (default) pairs
         the closed-form pair limit with an ``o_samples``-sample estimate of
-        the triple limit.  ``table`` uses the shipped rounded reference
-        rows (both constants, ``m <= 10`` only).  ``closed_form`` is exact
-        and available only for ``m = 1``.
+        the triple limit; at the default ``o_samples`` and ``seed`` and for
+        ``m <= 10`` that estimate is the stored output of
+        :func:`nn_triple_limit_mc`, not a new draw.  ``table`` uses the
+        shipped rounded reference rows (both constants, ``m <= 10`` only).
+        ``closed_form`` is exact and available only for ``m = 1``.
     """
     check_int("m", m, 1)
     check_choice("source", source, ("monte_carlo", "table", "closed_form"))
     if source == "monte_carlo":
         pair = nn_pair_limit(m)
-        triple, stderr = nn_triple_limit_mc(m, samples=o_samples, seed=seed)
+        check_int("o_samples", o_samples, 1)
+        if ((o_samples, check_seed(seed)) == (DEFAULT_TRIPLE_SAMPLES, DEFAULT_SEED)
+                and m in _DEFAULT_TRIPLE_ROWS):
+            triple, stderr = _DEFAULT_TRIPLE_ROWS[m]
+        else:
+            triple, stderr = nn_triple_limit_mc(m, samples=o_samples, seed=seed)
     elif source == "table":
         if m not in REFERENCE_PAIR_LIMITS:
             raise InvalidInputError(f"reference table covers m=1..10, got m={m}")
@@ -276,7 +327,8 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
 
 @lru_cache(maxsize=None)
 def default_null_constants(m: int) -> NullConstants:
-    """Monte-Carlo constants at the default sample size, cached per ``m``."""
+    """Monte-Carlo constants at the default sample size and seed, cached per
+    ``m``: the stored rows for ``m <= 10``, one sampler call per larger ``m``."""
     return null_variance(m)
 
 

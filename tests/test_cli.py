@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from manifold_xi import REFERENCE_PAIR_LIMITS, REFERENCE_TRIPLE_LIMITS
+from manifold_xi import cli, null_constants
 from manifold_xi.cli import cli_dispatch
 from manifold_xi.manifold_gen import read_dataset_csv
 
@@ -53,6 +54,32 @@ def test_constants_monte_carlo_json(tmp_path):
     assert set(rows[0]) == {"m", "q_m", "o_m", "sigma2", "o_m_stderr", "source"}
     assert rows[0]["source"] == "monte_carlo"
     assert abs(rows[0]["o_m"] - 0.5) < 0.01
+
+
+def test_default_constants_are_not_sampled(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled a stored null constant")
+
+    monkeypatch.setattr(null_constants, "nn_triple_limit_mc", fail)
+    out = tmp_path / "c.json"
+    assert cli_dispatch(["constants", "--m-max", "10", "--out", out.as_posix()]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["m"] for row in rows] == list(range(1, 11))
+    assert {row["source"] for row in rows} == {"monte_carlo"}
+
+
+@pytest.mark.parametrize("m_max", ["342", "1300"])
+def test_constants_refuses_too_large_m_max_before_any_row(capsys, monkeypatch, m_max):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed a row before checking --m-max")
+
+    monkeypatch.setattr(cli, "null_variance", fail)
+    assert cli_dispatch(["constants", "--m-max", m_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "m must be below 342" in lines[0]
 
 
 @pytest.mark.parametrize("m_max", ["0", "-3"])

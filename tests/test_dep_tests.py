@@ -15,7 +15,7 @@ from manifold_xi import (
     xi_test_asymptotic,
     xi_test_permutation,
 )
-from manifold_xi import dep_tests, nn_graph
+from manifold_xi import dep_tests, nn_graph, null_constants
 from manifold_xi.dep_tests import METHODS, _centred_distances, result_as_dict, run_test
 from manifold_xi.rngs import substream
 
@@ -109,6 +109,15 @@ class TestXiAsymptotic:
         x[4, 1] = np.nan
         with pytest.raises(InvalidInputError):
             xi_test_asymptotic(x, np.arange(30.0), m=7)
+
+    def test_too_large_m_refused_before_any_draw(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew samples for a refused dimension")
+
+        monkeypatch.setattr(null_constants, "substream", fail)
+        x = np.random.default_rng(2).random((30, 2))
+        with pytest.raises(InvalidInputError, match="m must be below 342"):
+            xi_test_asymptotic(x, np.arange(30.0), m=342)
 
     def test_parameter_validation(self):
         x = np.random.default_rng(3).random((30, 1))

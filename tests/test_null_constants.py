@@ -228,7 +228,19 @@ class TestTripleLimit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (2 * samples * m * 8)  # the (2, samples, m) draw
+        assert peak < 1.5 * (samples * m * 8)  # the (samples, m) first direction
+
+    def test_chunked_normal_draws_continue_one_stream(self):
+        # the sampler draws its second direction chunk by chunk into one
+        # buffer and relies on this matching a single (2, size, m) draw
+        whole = substream(9, 0).standard_normal((2, 1000, 3))
+        rng = substream(9, 0)
+        first = rng.standard_normal((1000, 3))
+        buf = np.empty((384, 3))
+        chunks = [rng.standard_normal(out=buf[:hi - lo]).copy()
+                  for lo, hi in ((0, 384), (384, 768), (768, 1000))]
+        np.testing.assert_array_equal(first, whole[0])
+        np.testing.assert_array_equal(np.concatenate(chunks), whole[1])
 
     def test_sample_floor_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -240,6 +252,68 @@ class TestTripleLimit:
         est2, se2 = nn_triple_limit_mc(m, samples=2 * 10**6, seed=22)
         assert abs(est1 - est2) < 3 * math.hypot(se1, se2)
         assert est1 < 2.0 and est2 < 2.0
+
+
+class TestStoredDefaultRows:
+    def test_rows_are_the_samplers_default_output(self):
+        # bitwise equal where they were generated; rtol absorbs last-bit
+        # differences of vectorised exp/pow on other CPUs
+        table = null_constants._DEFAULT_TRIPLE_ROWS
+        assert sorted(table) == list(range(1, 11))
+        for m, (est, se) in table.items():
+            assert nn_triple_limit_mc(m) == pytest.approx((est, se), rel=1e-12, abs=0)
+            c = null_variance(m)
+            assert (c.triple_limit, c.triple_stderr, c.source) == (est, se, "monte_carlo")
+
+    @pytest.fixture
+    def sampler_calls(self, monkeypatch):
+        calls = []
+
+        def record(m, samples, seed):
+            calls.append((m, samples, seed))
+            return 0.75, 0.001
+
+        monkeypatch.setattr(null_constants, "nn_triple_limit_mc", record)
+        return calls
+
+    @pytest.mark.parametrize("m, kwargs", [
+        (2, {"seed": null_constants.DEFAULT_SEED + 1}),
+        (2, {"o_samples": 2 * 10**5}),
+        (11, {}),
+    ], ids=["seed", "o_samples", "m11"])
+    def test_other_calls_sample(self, sampler_calls, m, kwargs):
+        c = null_variance(m, **kwargs)
+        assert (c.triple_limit, c.triple_stderr, c.source) == (0.75, 0.001, "monte_carlo")
+        assert sampler_calls == [(m, kwargs.get("o_samples", 10**6),
+                                  kwargs.get("seed", null_constants.DEFAULT_SEED))]
+
+    def test_lookup_refuses_what_the_sampler_refuses(self, sampler_calls):
+        with pytest.raises(InvalidInputError, match="o_samples"):
+            null_variance(2, o_samples=1e6)
+        with pytest.raises(InvalidInputError, match="seed"):
+            null_variance(2, seed=float(null_constants.DEFAULT_SEED))
+        assert sampler_calls == []
+
+
+class TestLargeDimensionRefused:
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew samples for a refused dimension")
+
+        monkeypatch.setattr(null_constants, "substream", fail)
+
+    def test_ball_volume(self):
+        assert 0.0 < ball_volume(341) < 1e-200
+        for m in (342, 345, 1240, 1241, 1300):
+            with pytest.raises(InvalidInputError, match="m must be below 342"):
+                ball_volume(m)
+
+    def test_triple_sampler(self):
+        with pytest.raises(InvalidInputError, match="m must be below 342"):
+            nn_triple_limit_mc(345, samples=10**5)
+        with pytest.raises(InvalidInputError, match="m must be below 342"):
+            null_variance(342)
 
 
 class TestNullVariance:

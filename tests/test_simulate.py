@@ -18,7 +18,7 @@ from manifold_xi import (
     run_experiment,
     xi_test_asymptotic,
 )
-from manifold_xi import simulate
+from manifold_xi import null_constants, simulate
 from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
 from manifold_xi.rngs import parallel_map, substream
@@ -130,6 +130,15 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         by_rho = {r.rho: r.rejection_rate for r in records}
         assert by_rho[0.9] > by_rho[0.0] + 0.3
+
+    def test_default_constants_come_from_the_stored_rows(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled a stored null constant")
+
+        monkeypatch.setattr(null_constants, "nn_triple_limit_mc", fail)
+        null_constants.default_null_constants.cache_clear()
+        cfg = tiny_config(m_grid=(1, 3, 10), methods=("xi_asymptotic",))
+        assert [r.m for r in run_experiment(cfg)] == [1, 3, 10]
 
     def test_bad_threads_refused_before_the_constants(self, monkeypatch):
         # the cold null constants take seconds; a bad threads value must not pay them
