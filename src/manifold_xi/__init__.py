@@ -55,7 +55,6 @@ from .null_constants import (
     nn_pair_limit,
     nn_triple_limit_mc,
     null_variance,
-    union_volume,
 )
 from .rank_xi import KernelMoments, XiStatistic, compute_ranks, min_kernel_moments, xi_n
 from .simulate import (
@@ -78,7 +77,7 @@ __all__ = [
     "XiStatistic", "KernelMoments", "compute_ranks", "xi_n",
     "min_kernel_moments",
     # null constants
-    "NullConstants", "BallGeometry", "ball_volume", "union_volume",
+    "NullConstants", "BallGeometry", "ball_volume",
     "nn_pair_limit", "nn_triple_limit_mc", "null_variance",
     "default_null_constants", "ball_geometry", "REFERENCE_PAIR_LIMITS",
     "REFERENCE_TRIPLE_LIMITS", "TRIPLE_LIMIT_1D",

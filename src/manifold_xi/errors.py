@@ -4,10 +4,12 @@ an argument's integer, real-number or choice rule is written.
 :func:`check_int`, :func:`check_real` and :func:`check_choice` test the
 type as well as the range, so a float where an integer belongs (``m=1.7``)
 or a bool where a number belongs (``reps=True``) is refused, not truncated
-or counted.  A failure is an :class:`InvalidInputError` naming the
-argument; a pass returns the value unchanged.
+or counted, and a real argument must be finite.  A failure is an
+:class:`InvalidInputError` naming the argument; a pass returns the value
+unchanged.
 """
 
+import math
 import numbers
 
 
@@ -46,10 +48,12 @@ def check_int(name: str, value, minimum: int):
 
 
 def check_real(name: str, value, minimum: float):
-    """``value`` if it is a real number (not a bool or NaN) of at least ``minimum``."""
+    """``value`` if it is a finite real number (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    if not value >= minimum:
+    if not -math.inf < value < math.inf:  # also NaN; exact for any int
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
     return value
 

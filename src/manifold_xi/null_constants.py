@@ -11,7 +11,7 @@ where ``m`` is the intrinsic (manifold) dimension of the predictors and
   available in closed form through the regularized incomplete beta
   function:  ``q(m) = 1 / (2 - I_{3/4}((m+1)/2, 1/2))``.  Geometrically it
   equals ``V_m / U_m``, the unit-ball volume over the volume of two unit
-  balls with centers a unit distance apart.
+  balls with centers a unit distance apart (:func:`ball_geometry`).
 * ``o(m)`` is the limiting shared-parent-triple frequency, a 2m-dimensional
   integral of ``exp(-vol(union of two balls))`` over the exclusion region
   where each center is farther from the other than from the origin.  It has
@@ -19,8 +19,8 @@ where ``m`` is the intrinsic (manifold) dimension of the predictors and
   by importance sampling with reported standard error.  The sampler needs
   no special functions: it takes the distance between the two centers
   from their radii and the cosine of the angle between them, and the
-  volumes of the two caps that make up the lens from an elementary
-  recurrence.
+  volumes of the two minor caps that make up the lens from an elementary
+  recurrence, which also gives the caps that ``U_m`` lacks.
 
 The default estimate (``DEFAULT_TRIPLE_SAMPLES`` samples at
 ``DEFAULT_SEED``) is stored for ``m = 1..10`` as the sampler's own floats,
@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import InvalidInputError, check_choice, check_int, check_real
+from .errors import InvalidInputError, check_choice, check_int
 from .rngs import check_seed, parallel_map, substream
 
 # Rounded reference constants for m = 1..10 (named dataset, source="table").
@@ -64,6 +64,7 @@ REFERENCE_TRIPLE_LIMITS = {
 TRIPLE_LIMIT_1D = 0.5
 
 DEFAULT_TRIPLE_SAMPLES = 10**6
+MIN_TRIPLE_SAMPLES = 10**5  # the sampler's floor, for samples and o_samples alike
 DEFAULT_SEED = 20260808
 
 # nn_triple_limit_mc(m) at the default samples and seed, as (estimate,
@@ -110,15 +111,14 @@ class BallGeometry:
     unit_union_volume: float
 
 
-def ball_volume(m: int, r: float = 1.0) -> float:
-    """Volume of the radius-``r`` ball in ``R^m``: ``pi^{m/2}/Gamma(m/2+1) r^m``.
+def ball_volume(m: int) -> float:
+    """Volume of the unit ball in ``R^m``: ``pi^{m/2} / Gamma(m/2 + 1)``.
 
-    Refuses ``m >= 342``, where the unit-ball volume is not a positive
-    finite float (``Gamma(m/2 + 1)`` overflows, and so, from ``m = 1241``,
-    does ``pi^{m/2}``).
+    Refuses ``m >= 342``, where it is not a positive finite float
+    (``Gamma(m/2 + 1)`` overflows, and so, from ``m = 1241``, does
+    ``pi^{m/2}``).
     """
     check_int("m", m, 1)
-    check_real("r", r, 0.0)
     try:
         unit = math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
     except OverflowError:
@@ -127,20 +127,20 @@ def ball_volume(m: int, r: float = 1.0) -> float:
         raise InvalidInputError(
             f"the unit-ball volume for m={m} is not a positive finite float; "
             "m must be below 342")
-    return float(unit * r**m)
+    return float(unit)
 
 
-def _cap_fractions(m: int, c_over_r: np.ndarray) -> np.ndarray:
-    """Fraction of an m-ball's volume beyond a plane at distance ``c`` from
-    the center (signed: negative ``c`` means the plane is past the center,
-    giving a cap larger than a hemisphere).
+def _cap_fractions(m: int, h: np.ndarray) -> np.ndarray:
+    """Fraction ``F_m(h)`` of an m-ball's volume beyond a plane at distance
+    ``h >= 0`` radii from the center: a minor cap, at most a half ball.
 
-    With ``h = |c| / r`` and ``J_k(h) = int_h^1 (1 - t^2)^{k/2} dt``, the
-    minor cap is ``J_{m-1}(h) / (2 J_{m-1}(0))``.  ``J_k`` follows from
-    ``J_0 = 1 - h`` or ``J_{-1} = arccos h`` by the exact recurrence
+    With ``J_k(h) = int_h^1 (1 - t^2)^{k/2} dt``, ``F_m(h) = J_{m-1}(h) /
+    (2 J_{m-1}(0))``.  ``J_k`` follows from ``J_0 = 1 - h`` or
+    ``J_{-1} = arccos h`` by the exact recurrence
     ``(k + 1) J_k = k J_{k-2} - h (1 - h^2)^{k/2}``, about ``m/2`` steps.
+    An offset that rounding carries a hair past the rim counts as 1.
     """
-    h = np.minimum(np.abs(c_over_r), 1.0)
+    h = np.minimum(h, 1.0)
     s2 = 1.0 - h * h
     if m % 2:  # from J_0; half is J_k(0)
         start, cap, half, step = 2, 1.0 - h, 1.0, h * s2
@@ -153,35 +153,7 @@ def _cap_fractions(m: int, c_over_r: np.ndarray) -> np.ndarray:
         half *= k / (k + 1)
         step *= s2
     cap /= 2.0 * half
-    return np.where(c_over_r >= 0.0, cap, 1.0 - cap)
-
-
-def union_volume(m: int, r1: float, r2: float, dist: float) -> float:
-    """Volume of ``B(w1, r1) union B(w2, r2)`` with ``|w1 - w2| = dist``.
-
-    The intersection is assembled from two spherical caps, each from the
-    elementary recurrence of ``_cap_fractions``; containment and
-    disjointness are handled exactly.
-
-    >>> round(union_volume(1, 1.0, 1.0, 1.0), 12)   # [-1,1] union [0,2]
-    3.0
-    """
-    check_int("m", m, 1)
-    if not (check_real("r1", r1, 0.0) > 0 and check_real("r2", r2, 0.0) > 0):
-        raise InvalidInputError(f"radii must be positive, got {r1}, {r2}")
-    check_real("dist", dist, 0.0)
-    vm = ball_volume(m)
-    v1 = vm * r1**m
-    v2 = vm * r2**m
-    if dist + min(r1, r2) <= max(r1, r2):
-        inter = vm * min(r1, r2) ** m
-    elif dist >= r1 + r2:
-        inter = 0.0
-    else:
-        c1 = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
-        caps = _cap_fractions(m, np.array([c1 / r1, (dist - c1) / r2]))
-        inter = v1 * caps[0] + v2 * caps[1]
-    return float(v1 + v2 - inter)
+    return cap
 
 
 def nn_pair_limit(m: int) -> float:
@@ -198,12 +170,17 @@ def nn_pair_limit(m: int) -> float:
 
 
 def ball_geometry(m: int) -> BallGeometry:
-    """Unit-ball volume and unit-configuration union volume in dimension m."""
-    return BallGeometry(
-        m=m,
-        unit_ball_volume=ball_volume(m),
-        unit_union_volume=union_volume(m, 1.0, 1.0, 1.0),
-    )
+    """``V_m`` and the volume ``U_m`` of two unit balls a unit distance apart,
+    each short of the cap ``V_m F_m(1/2)`` beyond the midplane, taken from
+    the cap recurrence, not the ``betainc`` of :func:`nn_pair_limit`.
+
+    >>> round(ball_geometry(1).unit_union_volume, 12)   # [-1,1] union [0,2]
+    3.0
+    """
+    vm = ball_volume(m)
+    cap = vm * _cap_fractions(m, 0.5)
+    return BallGeometry(m=m, unit_ball_volume=vm,
+                        unit_union_volume=float(vm + vm - (cap + cap)))
 
 
 def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
@@ -238,7 +215,7 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     (estimate, stderr) : tuple of float
     """
     check_int("m", m, 1)
-    check_int("samples", samples, 10**5)
+    check_int("samples", samples, MIN_TRIPLE_SAMPLES)
     vm = ball_volume(m)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
 
@@ -292,17 +269,18 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
     source : {"monte_carlo", "table", "closed_form"}
         Where the constants come from.  ``monte_carlo`` (default) pairs
         the closed-form pair limit with an ``o_samples``-sample estimate of
-        the triple limit; at the default ``o_samples`` and ``seed`` and for
-        ``m <= 10`` that estimate is the stored output of
-        :func:`nn_triple_limit_mc`, not a new draw.  ``table`` uses the
-        shipped rounded reference rows (both constants, ``m <= 10`` only).
+        the triple limit (``o_samples >= MIN_TRIPLE_SAMPLES``); at the
+        default ``o_samples`` and ``seed`` and for ``m <= 10`` that estimate
+        is the stored output of :func:`nn_triple_limit_mc`, not a new draw.
+        ``table`` uses the shipped rounded reference rows (both constants,
+        ``m <= 10`` only).
         ``closed_form`` is exact and available only for ``m = 1``.
     """
     check_int("m", m, 1)
     check_choice("source", source, ("monte_carlo", "table", "closed_form"))
     if source == "monte_carlo":
         pair = nn_pair_limit(m)
-        check_int("o_samples", o_samples, 1)
+        check_int("o_samples", o_samples, MIN_TRIPLE_SAMPLES)
         if ((o_samples, check_seed(seed)) == (DEFAULT_TRIPLE_SAMPLES, DEFAULT_SEED)
                 and m in _DEFAULT_TRIPLE_ROWS):
             triple, stderr = _DEFAULT_TRIPLE_ROWS[m]

@@ -24,6 +24,8 @@ from .rngs import substream
 
 @dataclass(frozen=True)
 class XiStatistic:
+    """The coefficient ``value`` of a sample of ``n`` pairs (see :func:`xi_n`)."""
+
     value: float
     n: int
 

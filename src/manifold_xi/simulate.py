@@ -66,6 +66,10 @@ class ExperimentConfig:
             check_int("m_grid entry", m, 1)
         for rho in self.rho_grid:
             check_real("rho_grid entry", rho, 0.0)
+        for name in ("cases", "transforms", "m_grid", "rho_grid", "methods"):
+            grid = getattr(self, name)
+            if len(set(grid)) < len(grid):  # a repeat would run a cell twice
+                raise InvalidInputError(f"{name} must list each entry once, got {grid!r}")
         check_int("n", self.n, 4)
         check_int("reps", self.reps, 1)
         _check_alpha(self.alpha)
@@ -114,6 +118,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Read a JSON configuration file; see :func:`config_from_dict`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

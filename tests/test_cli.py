@@ -82,6 +82,13 @@ def test_constants_refuses_too_large_m_max_before_any_row(capsys, monkeypatch, m
     assert "m must be below 342" in lines[0]
 
 
+def test_constants_names_om_samples_floor(capsys):
+    assert cli_dispatch(["constants", "--m-max", "2", "--om-samples", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: o_samples must be >= 100000, got 5"]
+
+
 @pytest.mark.parametrize("m_max", ["0", "-3"])
 def test_constants_rejects_non_positive_m_max(capsys, m_max):
     assert cli_dispatch(["constants", "--m-max", m_max, "--source", "table"]) == 1
@@ -284,7 +291,9 @@ TINY_CONFIG = {"cases": ["linear"], "transforms": ["identity"], "m_grid": [1],
     {"threads": "two"}, {"threads": 0}, {"reps": 2.5}, {"reps": True},
     {"n": 30.5}, {"B": 19.5}, {"master_seed": -1}, {"master_seed": 1.5},
     {"rho_grid": ["a"]}, {"m_grid": [1.7]}, {"alpha": "0.05"},
-    {"cases": "linear"},
+    {"cases": "linear"}, {"rho_grid": [float("inf")]},
+    {"methods": ["xi_asymptotic", "xi_asymptotic"]}, {"cases": ["linear", "linear"]},
+    {"m_grid": [1, 1]},
 ], ids=lambda mistake: json.dumps(mistake))
 def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                   mistake):
@@ -299,6 +308,16 @@ def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert next(iter(mistake)) in lines[0]  # the message names the key
+
+
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
+def test_gen_refuses_non_finite_rho(tmp_path, capsys, rho):
+    out = tmp_path / "g.csv"
+    assert cli_dispatch(["gen", "--case", "linear", "--m", "1", f"--rho={rho}",
+                         "--n", "5", "--out", out.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: rho must be finite, got {rho}"]
 
 
 @pytest.mark.parametrize("argv", [

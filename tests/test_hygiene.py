@@ -1,10 +1,14 @@
-"""Source hygiene checks that need only the standard library's ``ast``:
-no module keeps an import it does not use or raises a bare ``ValueError``
-or ``TypeError`` (bad arguments raise ``InvalidInputError``), and the public
-name list is exact."""
+"""Source hygiene checks that need only the standard library's ``ast`` and
+``inspect``: no module keeps an import it does not use or raises a bare
+``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
+the public name list is exact, and every public function and class has a
+docstring of its own."""
 
 import ast
 import collections
+import inspect
+import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,36 @@ def test_public_names_resolve_and_are_listed_once():
     names = manifold_xi.__all__
     assert [n for n in names if not hasattr(manifold_xi, n)] == []
     assert [n for n, k in collections.Counter(names).items() if k > 1] == []
+
+
+def has_own_docstring(obj) -> bool:
+    """Whether the source of a function or class opens with a docstring; the
+    ``Name(field, ...)`` text that ``dataclasses`` fills in does not count."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+    return ast.get_docstring(node) is not None
+
+
+def test_the_checker_sees_only_written_docstrings():
+    @dataclass
+    class Bare:
+        x: int
+
+    @dataclass
+    class Written:
+        """Doc."""
+
+        x: int
+
+    def bare():
+        pass
+
+    assert Bare.__doc__  # filled in by dataclasses
+    assert not has_own_docstring(Bare) and has_own_docstring(Written)
+    assert not has_own_docstring(bare)
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    public = [inspect.unwrap(getattr(manifold_xi, name)) for name in manifold_xi.__all__]
+    assert [obj.__name__ for obj in public
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and not has_own_docstring(obj)] == []

@@ -55,6 +55,11 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInputError):
             ScenarioSpec("linear", "identity", m=1, rho=-0.5, n=10)
 
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(InvalidInputError, match="rho must be finite"):
+            ScenarioSpec("linear", "identity", m=1, rho=rho, n=10)
+
 
 class TestLatentModels:
     def test_bit_reproducible(self):

@@ -17,7 +17,6 @@ from manifold_xi import (
     nn_triple_limit_mc,
     null_constants,
     null_variance,
-    union_volume,
 )
 from manifold_xi.null_constants import _cap_fractions, write_constants_csv
 from manifold_xi.rngs import substream
@@ -85,7 +84,6 @@ class TestCapFractions:
             # to 1.4e-12 at m = 200
             minor = 0.5 * special.betaincc(0.5, (m + 1) / 2.0, h * h)
             assert np.abs(_cap_fractions(m, h) - minor).max() < 1e-12, m
-            assert np.abs(_cap_fractions(m, -h) - (1.0 - minor)).max() < 1e-12, m
 
 
 class TestBallGeometry:
@@ -93,7 +91,6 @@ class TestBallGeometry:
         assert ball_volume(1) == pytest.approx(2.0, abs=1e-15)
         assert ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
         assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
-        assert ball_volume(2, r=3.0) == pytest.approx(9.0 * math.pi, rel=1e-15)
 
     def test_half_integer_gamma_matches_math_gamma(self):
         for m in range(1, 40):
@@ -101,54 +98,17 @@ class TestBallGeometry:
                 math.pi ** (m / 2) / math.gamma(m / 2 + 1), rel=1e-13)
 
     def test_unit_union_1d_is_three(self):
-        assert union_volume(1, 1.0, 1.0, 1.0) == pytest.approx(3.0, abs=1e-12)
+        assert ball_geometry(1).unit_union_volume == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_union_2d_lens_formula(self):
         expected = 2 * math.pi - (2 * math.pi / 3 - math.sqrt(3) / 2)
-        assert union_volume(2, 1.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_disjoint_is_sum_of_volumes(self):
-        for m in (1, 2, 5):
-            expected = ball_volume(m) * (1.3**m + 0.7**m)
-            assert union_volume(m, 1.3, 0.7, 2.0) == expected
-            assert union_volume(m, 1.3, 0.7, 5.0) == expected
-
-    def test_containment_is_larger_ball(self):
-        assert union_volume(2, 2.0, 0.5, 1.0) == pytest.approx(4 * math.pi, rel=1e-12)
-        assert union_volume(3, 1.0, 1.0, 0.0) == pytest.approx(ball_volume(3), rel=1e-12)
-
-    def test_union_against_1d_interval_arithmetic(self):
-        # intervals (c1-r1, c1+r1) and (c2-r2, c2+r2) with c1=0, c2=dist
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            r1, r2 = rng.uniform(0.2, 2.0, 2)
-            dist = rng.uniform(0.0, 4.0)
-            overlap = max(0.0, min(r1, dist + r2) - max(-r1, dist - r2))
-            expected = 2 * r1 + 2 * r2 - overlap
-            assert union_volume(1, r1, r2, dist) == pytest.approx(expected, abs=1e-10)
+        assert ball_geometry(2).unit_union_volume == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 10, 17])
     def test_matches_betainc_union(self, m):
-        contained = [(2.0, 0.5, 1.0), (0.5, 2.0, 1.5), (1.0, 1.0, 0.0), (1.3, 0.7, 0.6)]
-        disjoint = [(1.3, 0.7, 2.0), (1.3, 0.7, 5.0), (0.2, 0.9, 1.5)]
-        rng = np.random.default_rng(m)
-        lens = []
-        for _ in range(20):
-            r1, r2 = rng.uniform(0.2, 2.0, 2)
-            lens.append((r1, r2, rng.uniform(abs(r1 - r2), r1 + r2)))
-        for cases, rel in ((contained + disjoint, 1e-15), (lens, 1e-12)):
-            for r1, r2, dist in cases:
-                expected = _reference_union_volumes(
-                    m, np.array([r1]), np.array([r2]), np.array([dist]))[0]
-                assert union_volume(m, r1, r2, dist) == pytest.approx(expected, rel=rel)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidInputError):
-            union_volume(0, 1.0, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            union_volume(2, -1.0, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            union_volume(2, 1.0, 1.0, -0.5)
+        one = np.array([1.0])
+        expected = _reference_union_volumes(m, one, one, one)[0]
+        assert ball_geometry(m).unit_union_volume == pytest.approx(expected, rel=1e-12)
 
 
 class TestPairLimit:
@@ -288,6 +248,8 @@ class TestStoredDefaultRows:
                                   kwargs.get("seed", null_constants.DEFAULT_SEED))]
 
     def test_lookup_refuses_what_the_sampler_refuses(self, sampler_calls):
+        with pytest.raises(InvalidInputError, match="^o_samples must be >= 100000"):
+            null_variance(2, o_samples=5)
         with pytest.raises(InvalidInputError, match="o_samples"):
             null_variance(2, o_samples=1e6)
         with pytest.raises(InvalidInputError, match="seed"):

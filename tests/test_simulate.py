@@ -180,6 +180,7 @@ class TestArgumentTypes:
         (check_int, 2.0, 1), (check_int, True, 0), (check_int, "3", 1),
         (check_int, 0, 1), (check_real, False, 0.0), (check_real, "0.1", 0.0),
         (check_real, math.nan, 0.0), (check_real, -0.5, 0.0),
+        (check_real, math.inf, 0.0), (check_real, -math.inf, 0.0),
     ])
     def test_checkers_refuse(self, check, value, minimum):
         with pytest.raises(InvalidInputError, match="^x must be"):
@@ -210,11 +211,17 @@ class TestArgumentTypes:
 
     @pytest.mark.parametrize("override", [
         dict(m_grid=(1.7,)), dict(reps=True), dict(cases="linear"),
-        dict(cases=["linear"]), dict(rho_grid=(math.nan,)), dict(master_seed=-1),
+        dict(cases=["linear"]), dict(rho_grid=(math.nan,)), dict(rho_grid=(math.inf,)),
+        dict(master_seed=-1),
         dict(xi_tail="left"), dict(B=19.0),
+        # a repeated method counted its rejections twice (a rate of 2.0
+        # crashed mc_stderr); a repeated grid entry wrote one key twice
+        dict(methods=("xi_asymptotic", "xi_asymptotic")),
+        dict(cases=("linear", "linear")), dict(transforms=("identity", "identity")),
+        dict(m_grid=(1, 2, 1)), dict(rho_grid=(0, 0.0)),
     ], ids=lambda o: repr(o))
     def test_config_refuses_without_converting(self, override):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=next(iter(override))):
             tiny_config(**override)
 
     def test_config_keeps_values_as_given(self):
