@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, result_as_dict, run_test
+from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, TAILS, result_as_dict, run_test
 from .errors import InvalidInputError, ManifoldXiError, check_int
 from .manifold_gen import (
     CASES,
@@ -33,7 +33,7 @@ from .manifold_gen import (
     write_dataset_csv,
     write_scenario_sidecar,
 )
-from .nn_graph import estimate_constants_empirical
+from .nn_graph import GEOMETRIES, estimate_constants_empirical
 from .null_constants import (
     DEFAULT_SEED,
     DEFAULT_TRIPLE_SAMPLES,
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", choices=("right", "two_sided"), default="right",
+    p.add_argument("--tail", choices=TAILS, default="right",
                    help="rejection tail for xi_asymptotic")
 
     p = sub.add_parser("simulate", help="run a power study from a JSON config")
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--geometry", choices=("cube", "torus"), default="torus")
+    p.add_argument("--geometry", choices=GEOMETRIES, default="torus")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")

@@ -24,8 +24,10 @@ from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
 from .rngs import check_seed, substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
+TAILS = ("right", "two_sided")  # rejection tails of the asymptotic test
 
 DEFAULT_PERMUTATIONS = 199
+MIN_PERMUTATIONS = 19  # the permutation tests' floor on B
 
 _DCOR_BLOCK_ENTRIES = 2**17  # bound on (permutations x n x n) dcor scratch
 
@@ -88,7 +90,7 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     """
     _check_alpha(alpha)
     check_int("m", m, 1)
-    check_choice("tail", tail, ("right", "two_sided"))
+    check_choice("tail", tail, TAILS)
     cloud, y = _validate_pair(x, y, min_n=3)
     if np.all(y == y[0]):
         raise DegenerateInputError("constant response: asymptotic test undefined")
@@ -116,7 +118,7 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     so p-values live on the lattice ``{1/(B+1), ..., 1}``.
     """
     _check_alpha(alpha)
-    check_int("B", B, 19)
+    check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
     cloud, y = _validate_pair(x, y, min_n=3)
     nn = build_nn_graph(cloud).nn_index
@@ -251,7 +253,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     scratch entries.
     """
     _check_alpha(alpha)
-    check_int("B", B, 19)
+    check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
     cloud, y = _validate_pair(x, y, min_n=4)
     a, b, observed, _, _, norm = _dcor_parts(cloud.points, y)
@@ -301,7 +303,7 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
     method, so a bad value is refused even where the method ignores it.
     """
     check_choice("method", method, METHODS)
-    check_int("B", B, 19)
+    check_int("B", B, MIN_PERMUTATIONS)
     check_seed(seed)
     if method == "xi_asymptotic":
         if m is None:

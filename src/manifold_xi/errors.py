@@ -51,7 +51,11 @@ def check_real(name: str, value, minimum: float):
     """``value`` if it is a finite real number (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    if not -math.inf < value < math.inf:  # also NaN; exact for any int
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise InvalidInputError(f"{name} must be finite, got {value}")
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")

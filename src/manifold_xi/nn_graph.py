@@ -4,29 +4,24 @@ Each point gets exactly one outgoing edge, to its Euclidean nearest
 neighbor (distance ties broken by smallest index), found by one exact
 kd-tree kernel for every sample size and ambient dimension:
 
-1. Exact copies are merged first.  If column 0 holds ``n`` distinct
-   values the rows are distinct and nothing is merged; otherwise
-   ``np.unique`` maps each row to the smallest index of its equal rows.
-   A copy points to the smallest index of another copy, which is the
-   all-pairs answer.  Rows small enough in some coordinate for a squared
-   difference to underflow to zero are never merged, so the graph equals
-   the all-pairs scan on every finite input.
-2. The kd-tree is built on the remaining rows, in index order, and
-   queried in its own leaf order for three candidates per row; exact
-   squared distances and the smallest-index rule pick among them.
+1. Exact copies are merged first: each row maps to the smallest index of
+   its equal rows, found by one sort of column 0 when that column alone
+   proves the rows distinct, and by ``np.unique`` otherwise.
+2. The kd-tree is built on the rows that are their own smallest index, in
+   index order, and queried in its own leaf order for three candidates
+   per row; exact squared distances and the smallest-index rule pick
+   among them.
 3. Rows that short list cannot provably settle (near-ties, such as
    lattices) are queried again with eight candidates, and anything left
    gets an exact scan of its own row.
-4. Every other row points to the smallest index of its neighbor's copies.
+4. A copy points to the smallest index among its other copies and any row
+   at a distance that underflows to zero from it, which is the all-pairs
+   answer; every other row already points to a group's smallest index.
 
 Every exact squared distance (the all-pairs scan, the candidate check and
 the distance matrices of the dcor baseline) comes from one coordinate-major
-kernel, :func:`_sqdist`.  It adds the squared coordinate differences with
-whole-array operations in numpy's pairwise-summation order for ``d``
-contiguous values (one accumulator below 8 coordinates, eight interleaved
-accumulators up to 128, halves above), so its floats equal numpy's
-``(diff * diff).sum(axis=-1)`` bit for bit; a tier-1 test pins the two
-together.
+kernel, :func:`_sqdist`, whose floats equal numpy's
+``(diff * diff).sum(axis=-1)`` bit for bit.
 
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
@@ -58,6 +53,7 @@ from .rngs import parallel_map, substream
 _TIE_RTOL = 1e-9
 
 _BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch per block
+GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,7 @@ class PointCloud:
 
     def require_distinct(self) -> "PointCloud":
         """Raise :class:`DuplicatePointsError` if two rows coincide."""
-        if (not _first_column_distinct(self.points)
-                and np.unique(self.points, axis=0).shape[0] < self.n):
+        if (_smallest_equal_index(self.points) != np.arange(self.n)).any():
             raise DuplicatePointsError("point cloud contains duplicate rows")
         return self
 
@@ -224,10 +219,14 @@ def _nn_brute_row(cols: np.ndarray, i: int) -> int:
     return int(d2.argmin())
 
 
-def _first_column_distinct(pts: np.ndarray) -> bool:
-    """Whether column 0 alone tells every row apart (so the rows are distinct)."""
+def _smallest_equal_index(pts: np.ndarray) -> np.ndarray:
+    """Each row's smallest equal index: ``np.arange(n)`` when one sort of
+    column 0 proves the rows distinct, else from ``np.unique(axis=0)``."""
     col = np.sort(pts[:, 0])
-    return bool((col[1:] != col[:-1]).all())
+    if (col[1:] != col[:-1]).all():
+        return np.arange(len(pts))
+    _, first, group = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    return first[group.ravel()]
 
 
 def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
@@ -279,27 +278,26 @@ def _nn_distinct(pts: np.ndarray) -> np.ndarray:
 def _nn_tree(pts: np.ndarray) -> np.ndarray:
     """Exact kd-tree nearest neighbors, identical to :func:`_nn_brute`.
 
-    Returns, for each row, the smallest index among its nearest other rows.
+    The kernel runs on the rows that are their own smallest equal index.
+    Equal rows lie at equal distances from every row, so the rows at zero
+    distance from a copy are its group and, when the group's kernel
+    neighbor is at zero, that neighbor and rows of larger index.
     """
-    if _first_column_distinct(pts):
-        return _nn_distinct(pts)
     n = len(pts)
-    _, first, group = np.unique(pts, axis=0, return_index=True, return_inverse=True)
-    rep = first[group.ravel()]
-    # A difference below about 2**-537 squares to zero, which needs both
-    # values below 2**-485 in magnitude; 2**-480 leaves a margin.
-    small = np.abs(pts) < 2.0**-480
-    unmerged = small[:, (small & (pts != 0.0)).any(axis=0)].any(axis=1)
-    rep[unmerged] = np.flatnonzero(unmerged)
+    rep = _smallest_equal_index(pts)
     own = rep == np.arange(n)
     keep, copy = np.flatnonzero(own), np.flatnonzero(~own)
-    nn = np.empty(n, dtype=np.intp)
+    nn = rep.copy()
     if len(keep) > 1:  # a neighbor's index is already its group's smallest
         nn[keep] = keep[_nn_distinct(pts[keep])]
-    # a row with copies points to the smallest index of another copy
-    owner, first_copy = np.unique(rep[copy], return_index=True)
-    nn[owner] = copy[first_copy]
-    nn[copy] = rep[copy]
+    if len(copy):
+        owner, first_copy = np.unique(rep[copy], return_index=True)
+        near = nn[owner]  # the owner itself when it is the only distinct row
+        tied = (near != owner) & (_sqdist(pts[owner].T, pts[near].T) == 0.0)
+        near = np.where(tied, near, n)
+        nn[owner] = np.minimum(copy[first_copy], near)
+        rep[owner] = np.minimum(owner, near)  # what each group's copies point to
+        nn[copy] = rep[rep[copy]]
     return nn
 
 
@@ -308,7 +306,9 @@ def build_nn_graph(cloud) -> NnGraph:
 
     Each row points to the smallest index among its nearest other rows, by
     exact squared distances, so the graph equals the all-pairs scan on any
-    input; a duplicate row points to the smallest index of another copy.
+    input.  A duplicate row points to the smallest index among its other
+    copies and any row whose distance to it underflows to zero; copies cost
+    linear time on every input.
 
     Parameters
     ----------
@@ -372,7 +372,7 @@ def estimate_constants_empirical(m: int, n: int, reps: int,
     check_int("m", m, 1)
     check_int("n", n, 100)
     check_int("reps", reps, 1)
-    check_choice("geometry", geometry, ("cube", "torus"))
+    check_choice("geometry", geometry, GEOMETRIES)
 
     def one(rep: int) -> tuple[float, float]:
         nn = _nn_uniform_sample(m, n, geometry, substream(seed, rep))

@@ -66,6 +66,7 @@ TRIPLE_LIMIT_1D = 0.5
 DEFAULT_TRIPLE_SAMPLES = 10**6
 MIN_TRIPLE_SAMPLES = 10**5  # the sampler's floor, for samples and o_samples alike
 DEFAULT_SEED = 20260808
+SOURCES = ("monte_carlo", "table", "closed_form")  # of null_variance
 
 # nn_triple_limit_mc(m) at the default samples and seed, as (estimate,
 # stderr) for m = 1..10; null_variance serves these rows without sampling.
@@ -277,7 +278,7 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
         ``closed_form`` is exact and available only for ``m = 1``.
     """
     check_int("m", m, 1)
-    check_choice("source", source, ("monte_carlo", "table", "closed_form"))
+    check_choice("source", source, SOURCES)
     if source == "monte_carlo":
         pair = nn_pair_limit(m)
         check_int("o_samples", o_samples, MIN_TRIPLE_SAMPLES)

@@ -18,7 +18,14 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, _check_alpha, run_test
+from .dep_tests import (
+    DEFAULT_PERMUTATIONS,
+    METHODS,
+    MIN_PERMUTATIONS,
+    TAILS,
+    _check_alpha,
+    run_test,
+)
 from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
 from .manifold_gen import (
     CASES,
@@ -73,9 +80,9 @@ class ExperimentConfig:
         check_int("n", self.n, 4)
         check_int("reps", self.reps, 1)
         _check_alpha(self.alpha)
-        check_int("B", self.B, 19)
+        check_int("B", self.B, MIN_PERMUTATIONS)
         check_int("master_seed", self.master_seed, 0)
-        check_choice("xi_tail", self.xi_tail, ("right", "two_sided"))
+        check_choice("xi_tail", self.xi_tail, TAILS)
 
 
 @dataclass

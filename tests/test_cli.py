@@ -310,6 +310,21 @@ def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch
     assert next(iter(mistake)) in lines[0]  # the message names the key
 
 
+def test_simulate_refuses_an_integer_rho_beyond_float(tmp_path, capsys, monkeypatch):
+    # a 401-digit JSON integer is finite as an int but has no float value
+    monkeypatch.delenv("XICOR_THREADS", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "rho_grid": [10**400]}))
+    out = tmp_path / "out.csv"
+    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(),
+                         "--out", out.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rho_grid entry must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
 def test_gen_refuses_non_finite_rho(tmp_path, capsys, rho):
     out = tmp_path / "g.csv"

@@ -1,7 +1,8 @@
 """Source hygiene checks that need only the standard library's ``ast`` and
 ``inspect``: no module keeps an import it does not use or raises a bare
 ``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
-the public name list is exact, and every public function and class has a
+every ``check_choice`` call reads its choices from a named constant, the
+public name list is exact, and every public function and class has a
 docstring of its own."""
 
 import ast
@@ -65,6 +66,38 @@ def test_the_checker_finds_a_bare_builtin_raise():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_bare_value_or_type_error(path):
     assert bare_builtin_raises(path.read_text(encoding="utf-8")) == []
+
+
+def literal_choices(source: str) -> list[str]:
+    """``check_choice`` calls whose choices are written in place, by line;
+    a rule's choices live in one module constant that others import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "check_choice":
+            continue
+        args = node.args[2:] + [kw.value for kw in node.keywords if kw.arg == "choices"]
+        if any(not isinstance(arg, (ast.Name, ast.Attribute)) for arg in args):
+            found.append(f"check_choice (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_literal_choices():
+    source = ("check_choice('a', a, ('x', 'y'))\n"
+              "errors.check_choice('b', b, ['x'])\n"
+              "check_choice('c', c, choices=('x',))\n"
+              "check_choice('d', d, CHOICES)\n"
+              "check_choice('e', e, module.CHOICES)\n"
+              "other('f', f, ('x',))\n")
+    assert literal_choices(source) == [f"check_choice (line {i})" for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_choices_come_from_a_named_constant(path):
+    assert literal_choices(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -55,7 +55,8 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInputError):
             ScenarioSpec("linear", "identity", m=1, rho=-0.5, n=10)
 
-    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan,
+                                     pytest.param(10**400, id="int-beyond-float")])
     def test_rejects_non_finite_rho(self, rho):
         with pytest.raises(InvalidInputError, match="rho must be finite"):
             ScenarioSpec("linear", "identity", m=1, rho=rho, n=10)

@@ -165,6 +165,28 @@ class TestSquaredDistanceKernel:
                     assert np.array_equal(row, _row_major_sqdist(pts, pts[7]))
 
 
+def underflow_clouds(count=3000, seed=16):
+    """Seeded small clouds where exact distance ties abound: tie-heavy
+    integers, integers scaled to subnormal distances, signed zeros beside
+    rows whose squared distance underflows, and copies beside such rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        kind = i % 4
+        if kind == 0:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        elif kind == 1:
+            scale = rng.choice([1e-170, 1e-160, 1e-320], size=(1, d))
+            pts = rng.integers(-3, 4, size=(n, d)) * scale
+        elif kind == 2:
+            pts = rng.choice([0.0, -0.0, 1.0, 1e-170, -1e-170], size=(n, d))
+        else:
+            base = rng.standard_normal((max(1, n // 3), d))
+            pts = base[rng.integers(0, len(base), size=n)]
+            pts[rng.random(n) < 0.2, 0] = rng.choice([0.0, 1e-170, 3e-170])
+        yield pts
+
+
 class TestTreeBruteEquivalence:
     @pytest.mark.parametrize("n,d", [(10, 1), (50, 2), (200, 8), (37, 3),
                                      (100, 25), (100, 50), (60, 100)])
@@ -229,12 +251,14 @@ class TestTreeBruteEquivalence:
         [[0.0], [1e-170], [0.0], [0.0]],
         # mergeable copies beside the rows that must stay apart
         [[1e-170, 1.0], [0.0, 1.0], [0.0, 1.0], [3.0, 3.0], [3.0, 3.0]],
+        pytest.param(None, id="seeded-batch"),
     ])
     def test_underflowing_distances_are_not_copies(self, pts):
         # (1e-170)**2 underflows to 0, so these rows tie at distance zero
-        # with rows they do not equal
-        pts = np.asarray(pts)
-        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # with rows they do not equal; a copy must still point to the
+        # smallest of them
+        for cloud in underflow_clouds() if pts is None else [np.asarray(pts)]:
+            assert (_nn_tree(cloud) == _nn_brute(cloud)).all()
 
     def test_copies_and_generic_clouds_need_no_row_scans(self, monkeypatch):
         # a per-row scan is O(n); one for every copy made the graph quadratic,
@@ -257,6 +281,15 @@ class TestTreeBruteEquivalence:
         pts = rng.random((1000, 3))
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
         assert tree_rows == [1000] and 0 not in unique_axes
+        # copies of a row whose squared distance to another underflows to 0:
+        # row 0 ties with every 0.0 row, so all of them point to it
+        tree_rows.clear()
+        pts = np.zeros(4000)
+        pts[2000:] = 1.0
+        pts[0] = 1e-170
+        expected = np.r_[1, np.zeros(1999, int), 2001, np.full(1999, 2000)]
+        assert (_nn_tree(pts[:, None]) == expected).all()
+        assert tree_rows == [3]
         assert scans == []
 
     def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):

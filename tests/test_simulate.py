@@ -181,6 +181,7 @@ class TestArgumentTypes:
         (check_int, 0, 1), (check_real, False, 0.0), (check_real, "0.1", 0.0),
         (check_real, math.nan, 0.0), (check_real, -0.5, 0.0),
         (check_real, math.inf, 0.0), (check_real, -math.inf, 0.0),
+        pytest.param(check_real, 10**400, 0.0, id="check_real-int-beyond-float"),
     ])
     def test_checkers_refuse(self, check, value, minimum):
         with pytest.raises(InvalidInputError, match="^x must be"):
