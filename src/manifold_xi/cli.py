@@ -107,12 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_constants(args) -> int:
     check_int("--m-max", args.m_max, 1)
     ball_volume(args.m_max)  # refuse an m too large for the constants before any row
-    rows = []
-    for m in range(1, args.m_max + 1):
-        if args.source == "table":
-            rows.append(null_variance(m, source="table"))
-        else:
-            rows.append(null_variance(m, o_samples=args.om_samples, seed=args.seed))
+    source = "table" if args.source == "table" else "monte_carlo"
+    rows = [null_variance(m, o_samples=args.om_samples, seed=args.seed, source=source)
+            for m in range(1, args.m_max + 1)]
     if args.out and args.out.endswith(".json"):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([constants_as_dict(c) for c in rows], fh, indent=2)

@@ -299,10 +299,14 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
 
     ``m`` and ``tail`` go to the asymptotic test, which requires ``m`` and
     uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
-    to the permutation tests.  ``B`` and ``seed`` are checked for every
-    method, so a bad value is refused even where the method ignores it.
+    to the permutation tests.  Every argument is checked for every method
+    (``m`` may be ``None``), so a bad value is refused even where the
+    method ignores it.
     """
     check_choice("method", method, METHODS)
+    if m is not None:
+        check_int("m", m, 1)
+    check_choice("tail", tail, TAILS)
     check_int("B", B, MIN_PERMUTATIONS)
     check_seed(seed)
     if method == "xi_asymptotic":

@@ -11,15 +11,15 @@ kd-tree kernel for every sample size and ambient dimension:
    index order, and queried in its own leaf order for three candidates
    per row; exact squared distances and the smallest-index rule pick
    among them.
-3. Rows that short list cannot provably settle (near-ties, such as
-   lattices) are queried again with eight candidates, and anything left
-   gets an exact scan of its own row.
+3. Rows that list cannot provably settle (near-ties, as on lattices) are
+   queried again with ``k <- 4k - 4`` candidates while ``k**2 <= n``, and
+   any row left is compared with all rows.
 4. A copy points to the smallest index among its other copies and any row
    at a distance that underflows to zero from it, which is the all-pairs
    answer; every other row already points to a group's smallest index.
 
-Every exact squared distance (the all-pairs scan, the candidate check and
-the distance matrices of the dcor baseline) comes from one coordinate-major
+Every exact squared distance (the all-pairs reference, the candidate check
+and the dcor baseline's distance matrices) comes from one coordinate-major
 kernel, :func:`_sqdist`, whose floats equal numpy's
 ``(diff * diff).sum(axis=-1)`` bit for bit.
 
@@ -153,8 +153,8 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     * ``d > 128``: split at ``h = d//2 - (d//2) % 8``, sum both parts
       recursively, then add them.
 
-    Every exact distance in this module (the all-pairs scan, the tree's
-    candidate check and the row scan) comes from this one function, so
+    Every exact distance in this module (the all-pairs reference and the
+    tree's candidate check) comes from this one function, so
     candidates are compared, and the smallest-index tie rule applied, on
     identical floating-point values.
     """
@@ -212,13 +212,6 @@ def _nn_brute(pts: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def _nn_brute_row(cols: np.ndarray, i: int) -> int:
-    """Nearest neighbor of point ``i`` by an exact scan (``cols = pts.T``)."""
-    d2 = _sqdist(cols, cols[:, i, None])
-    d2[i] = np.inf
-    return int(d2.argmin())
-
-
 def _smallest_equal_index(pts: np.ndarray) -> np.ndarray:
     """Each row's smallest equal index: ``np.arange(n)`` when one sort of
     column 0 proves the rows distinct, else from ``np.unique(axis=0)``."""
@@ -233,45 +226,52 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
                          rows: np.ndarray, k: int):
     """Nearest neighbors of ``pts[rows]`` proposed by the tree's ``k`` nearest.
 
-    The candidates' exact squared distances are recomputed with
-    :func:`_sqdist` from ``cols = pts.T`` (gathered in row blocks of
-    ``(d, rows, k)`` within ``_BRUTE_BLOCK_ENTRIES``) and the
-    smallest-index tie rule applied.  Returns the chosen indices and a mask
-    of the rows whose list cannot provably contain the exact nearest
-    neighbor.
+    In row blocks of ``(d, rows, k)`` within ``_BRUTE_BLOCK_ENTRIES``, the
+    tree is queried, the candidates' exact squared distances recomputed
+    with :func:`_sqdist` from ``cols = pts.T`` and the smallest-index tie
+    rule applied.  At ``k = n`` every row is a candidate: no query, nothing
+    to prove.  Returns the chosen indices and a mask of the rows whose list
+    cannot provably contain the exact nearest neighbor.
     """
-    dist, cand = tree.query(pts[rows], k=k)
-    d = pts.shape[1]
-    d2 = np.empty(cand.shape)
+    n, d = pts.shape
+    nn, unsure = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
     block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
     for start in range(0, len(rows), block):
         blk = slice(start, start + block)
-        d2[blk] = _sqdist(np.take(cols, cand[blk], axis=1),
-                          np.take(cols, rows[blk], axis=1)[:, :, None])
-    d2[cand == rows[:, None]] = np.inf  # mask self wherever it appears
-    best = d2.min(axis=1)
-    nn = np.where(d2 <= best[:, None], cand, len(pts)).min(axis=1)
-    if k == len(pts):
-        return nn, np.zeros(len(rows), dtype=bool)
-    # Points outside the candidate list are at least as far (by the tree's
-    # arithmetic) as the k-th candidate, so the exact minimum is provably
-    # inside the list when it beats that bound with slack.
-    return nn, ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+        if k < n:
+            dist, cand = tree.query(pts[rows[blk]], k=k)
+            other = np.take(cols, cand, axis=1)
+        else:
+            cand, other = np.arange(n), cols[:, None, :]
+        d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
+        d2[cand == rows[blk, None]] = np.inf  # mask self wherever it appears
+        best = d2.min(axis=1)
+        nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
+        if k < n:  # rows outside the list are at least as far (by the tree's
+            # arithmetic) as the k-th candidate: beating that bound with
+            # slack proves the exact minimum is inside the list
+            unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+    return nn, unsure
 
 
 def _nn_distinct(pts: np.ndarray) -> np.ndarray:
-    """Exact nearest neighbors of rows no two of which are merged copies."""
+    """Exact nearest neighbors of rows no two of which are merged copies.
+
+    Unsettled rows are queried again with ``k <- 4k - 4`` (3, 8, 28, 108,
+    ...) while ``k**2 <= n``, then compared with all ``n`` rows.  Each
+    round costs about four times the last, so the tree spends at most about
+    ``sqrt(n)`` candidates on a row, far below the ``n`` of the last round,
+    which only a row tied with more than ``sqrt(n)`` rows reaches (a
+    lattice row ties with ``2d``).
+    """
     n = len(pts)
     tree = cKDTree(pts)
     cols = np.ascontiguousarray(pts.T)
-    order = tree.indices  # leaf order: consecutive queries walk the same nodes
-    nn, unsure = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
-    nn[order], unsure[order] = _verified_candidates(tree, pts, cols, order, min(n, 3))
-    if unsure.any():
-        rows = order[unsure[order]]
-        nn[rows], still = _verified_candidates(tree, pts, cols, rows, min(n, 8))
-        for i in rows[still]:
-            nn[i] = _nn_brute_row(cols, i)
+    rows = tree.indices  # leaf order: consecutive queries walk the same nodes
+    nn, k = np.empty(n, dtype=np.intp), min(n, 3)
+    while len(rows):
+        nn[rows], unsure = _verified_candidates(tree, pts, cols, rows, k)
+        rows, k = rows[unsure], (4 * k - 4 if (4 * k - 4) ** 2 <= n else n)
     return nn
 
 

@@ -276,13 +276,17 @@ def null_variance(m: int, o_samples: int = DEFAULT_TRIPLE_SAMPLES,
         ``table`` uses the shipped rounded reference rows (both constants,
         ``m <= 10`` only).
         ``closed_form`` is exact and available only for ``m = 1``.
+
+    ``o_samples`` and ``seed`` are checked for every source, so a bad value
+    is refused even where the source ignores it.
     """
     check_int("m", m, 1)
     check_choice("source", source, SOURCES)
+    check_int("o_samples", o_samples, MIN_TRIPLE_SAMPLES)
+    check_seed(seed)
     if source == "monte_carlo":
         pair = nn_pair_limit(m)
-        check_int("o_samples", o_samples, MIN_TRIPLE_SAMPLES)
-        if ((o_samples, check_seed(seed)) == (DEFAULT_TRIPLE_SAMPLES, DEFAULT_SEED)
+        if ((o_samples, seed) == (DEFAULT_TRIPLE_SAMPLES, DEFAULT_SEED)
                 and m in _DEFAULT_TRIPLE_ROWS):
             triple, stderr = _DEFAULT_TRIPLE_ROWS[m]
         else:

@@ -89,6 +89,14 @@ def test_constants_names_om_samples_floor(capsys):
     assert captured.err.splitlines() == ["error: o_samples must be >= 100000, got 5"]
 
 
+def test_constants_table_checks_om_samples_and_seed(capsys):
+    argv = ["constants", "--m-max", "2", "--source", "table", "--om-samples", "5"]
+    assert cli_dispatch(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: o_samples must be >= 100000, got 5"]
+
+
 @pytest.mark.parametrize("m_max", ["0", "-3"])
 def test_constants_rejects_non_positive_m_max(capsys, m_max):
     assert cli_dispatch(["constants", "--m-max", m_max, "--source", "table"]) == 1
@@ -350,3 +358,14 @@ def test_negative_seed_is_an_error_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: seed must be >= 0")
+
+
+@pytest.mark.parametrize("argv", [["--dim", "-4"], ["--dim", "0"]], ids=["negative", "zero"])
+def test_test_refuses_a_bad_dim_the_method_ignores(tmp_path, capsys, argv):
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1\n" + "".join(f"{(7 * i) % 10}.0,{i}.0\n" for i in range(10)))
+    assert cli_dispatch(["test", "--input", data.as_posix(), "--method", "xi_permutation"]
+                        + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: m must be >= 1, got {argv[1]}"]

@@ -443,12 +443,13 @@ class TestRunTest:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("bad", [dict(seed=-1), dict(seed=(1.5, 0)), dict(seed=(0, -1)),
-                                     dict(B=5)],
-                             ids=["seed", "tuple_seed", "tuple_path", "B"])
+                                     dict(B=5), dict(m=-4), dict(m=1.5), dict(tail="bogus")],
+                             ids=["seed", "tuple_seed", "tuple_path", "B", "m", "float_m",
+                                  "tail"])
     def test_checks_every_argument_for_every_method(self, method, bad):
         x = np.random.default_rng(25).random((30, 1))
-        with pytest.raises(InvalidInputError, match="seed" if "seed" in bad else "B"):
-            run_test(method, x, np.ones(30), m=1, **bad)
+        with pytest.raises(InvalidInputError, match=f"^{next(iter(bad))} must"):
+            run_test(method, x, np.ones(30), **{"m": 1, **bad})
 
 
 class TestResultRecord:

@@ -161,8 +161,32 @@ class TestSquaredDistanceKernel:
                     got = nn_graph._sqdist(np.take(cols, cand, axis=1),
                                            np.take(cols, rows, axis=1)[:, :, None])
                     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-                    row = nn_graph._sqdist(cols, cols[:, 7, None])  # one row's scan
+                    row = nn_graph._sqdist(cols, cols[:, 7, None])  # one row against all
                     assert np.array_equal(row, _row_major_sqdist(pts, pts[7]))
+
+
+@pytest.fixture
+def sqdist_blocks(monkeypatch):
+    """Record the ``(rows, candidates, d)`` block each exact-distance call
+    covers; a call on 1-D coordinates (the copies' tie check) compares one
+    candidate per row."""
+    blocks = []
+    exact = nn_graph._sqdist
+
+    def recording(a, b):
+        rows, *cands = np.broadcast(a[0], b[0]).shape
+        blocks.append((rows, cands[0] if cands else 1, len(a)))
+        return exact(a, b)
+
+    monkeypatch.setattr(nn_graph, "_sqdist", recording)
+    return blocks
+
+
+def _lattice(shape, rng):
+    """The integer lattice ``prod(range(s) for s in shape)``, rows shuffled."""
+    axes = np.meshgrid(*[np.arange(side, dtype=float) for side in shape])
+    grid = np.stack(axes, axis=-1).reshape(-1, len(shape))
+    return grid[rng.permutation(len(grid))]
 
 
 def underflow_clouds(count=3000, seed=16):
@@ -260,26 +284,32 @@ class TestTreeBruteEquivalence:
         for cloud in underflow_clouds() if pts is None else [np.asarray(pts)]:
             assert (_nn_tree(cloud) == _nn_brute(cloud)).all()
 
-    def test_copies_and_generic_clouds_need_no_row_scans(self, monkeypatch):
-        # a per-row scan is O(n); one for every copy made the graph quadratic,
-        # and so does a tree built on copies it cannot split
-        scans, tree_rows, unique_axes = [], [], []
-        scan, tree, unique = nn_graph._nn_brute_row, nn_graph.cKDTree, np.unique
-        monkeypatch.setattr(nn_graph, "_nn_brute_row",
-                            lambda pts, i: scans.append(i) or scan(pts, i))
+    def test_copies_and_generic_clouds_need_no_row_scans(self, monkeypatch, sqdist_blocks):
+        # comparing a row with all rows is O(n); doing so for every copy made
+        # the graph quadratic, and so does a tree built on copies it cannot split
+        tree_rows, unique_axes = [], []
+        tree, unique = nn_graph.cKDTree, np.unique
         monkeypatch.setattr(nn_graph, "cKDTree",
                             lambda pts: tree_rows.append(len(pts)) or tree(pts))
         monkeypatch.setattr(np, "unique", lambda *a, **kw: unique_axes.append(
             kw.get("axis")) or unique(*a, **kw))
+
+        def tree_candidates(pts, expected):
+            # candidates per row of every exact-distance call the tree pass made
+            sqdist_blocks.clear()
+            assert (_nn_tree(pts) == expected).all()
+            return {cands for _, cands, _ in sqdist_blocks}
+
         rng = np.random.default_rng(13)
         pts = rng.standard_normal(10)[rng.integers(0, 10, size=2000)][:, None]
-        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        # three candidates settle the ten distinct rows: no all-rows round
+        assert tree_candidates(pts, _nn_brute(pts)) <= {1, 3}
         assert tree_rows == [10]
         # column 0 proves continuous rows distinct: no sort of whole rows
         tree_rows.clear()
         unique_axes.clear()
         pts = rng.random((1000, 3))
-        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        assert tree_candidates(pts, _nn_brute(pts)) <= {3, 8}
         assert tree_rows == [1000] and 0 not in unique_axes
         # copies of a row whose squared distance to another underflows to 0:
         # row 0 ties with every 0.0 row, so all of them point to it
@@ -288,48 +318,72 @@ class TestTreeBruteEquivalence:
         pts[2000:] = 1.0
         pts[0] = 1e-170
         expected = np.r_[1, np.zeros(1999, int), 2001, np.full(1999, 2000)]
-        assert (_nn_tree(pts[:, None]) == expected).all()
+        assert tree_candidates(pts[:, None], expected) <= {1, 3}
         assert tree_rows == [3]
-        assert scans == []
 
-    def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch):
+    def test_brute_blocks_bound_scratch_and_keep_indices(self, monkeypatch, sqdist_blocks):
         rng = np.random.default_rng(12)
         n, d = 60, 5
         pts = rng.standard_normal((n, d))
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
         one_block = _nn_brute(pts)
-        side = 8
-        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1)
-        lattice = grid.reshape(-1, 2)[rng.permutation(side * side)].astype(float)
+        lattice = _lattice((8, 8), rng)
         lattice_nn = _nn_brute(lattice)
-        scratch = []
-        exact = nn_graph._sqdist
+        queried = []
 
-        def recording(a, b):
-            # coordinate-major: d coordinates of (rows, k or n), recorded as
-            # the (rows, k or n, d) block they cover
-            scratch.append(np.broadcast(a[0], b[0]).shape + (len(a),))
-            return exact(a, b)
+        class RecordingTree(nn_graph.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                dist, cand = super().query(x, k, **kwargs)
+                queried.append(cand.shape + (self.m,))
+                return dist, cand
 
-        monkeypatch.setattr(nn_graph, "_sqdist", recording)
+        monkeypatch.setattr(nn_graph, "cKDTree", RecordingTree)
+        sqdist_blocks.clear()
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
         assert (_nn_brute(pts) == one_block).all()
-        assert len(scratch) == -(-n // 7)
-        assert max(np.prod(s) for s in scratch) <= 7 * n * d
+        assert len(sqdist_blocks) == -(-n // 7)
+        assert max(np.prod(s) for s in sqdist_blocks) <= 7 * n * d
 
-        # the tree's first pass: (rows, k=3, d) temporaries
-        scratch.clear()
+        # the tree's first round: (rows, k=3, d) queries and temporaries
+        sqdist_blocks.clear()
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 3 * d)
         assert (_nn_tree(pts) == one_block).all()
-        assert len(scratch) == -(-n // 7) and {s[1] for s in scratch} == {3}
-        assert max(np.prod(s) for s in scratch) <= 7 * 3 * d
+        assert len(sqdist_blocks) == -(-n // 7) and {s[1] for s in sqdist_blocks} == {3}
+        assert queried == sqdist_blocks
+        assert max(np.prod(s) for s in sqdist_blocks) <= 7 * 3 * d
 
-        # lattice near-ties take the k=8 re-query: (rows, 8, 2) temporaries
-        scratch.clear()
+        # lattice near-ties take the k=8 round: (rows, 8, 2) queries and temporaries
+        sqdist_blocks.clear()
+        queried.clear()
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 8 * 2)
         assert (_nn_tree(lattice) == lattice_nn).all()
-        assert {s[1] for s in scratch} == {3, 8}
-        assert max(np.prod(s) for s in scratch) <= 7 * 8 * 2
+        assert {s[1] for s in sqdist_blocks} == {3, 8}
+        assert queried == sqdist_blocks
+        assert max(np.prod(s) for s in sqdist_blocks) <= 7 * 8 * 2
+
+    @pytest.mark.parametrize("shape", [(6, 6, 6, 6), (4, 4, 4, 4, 4),
+                                       (4, 3, 3, 3, 3, 3), (3,) * 7],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_lattices_beyond_eight_candidates(self, shape, sqdist_blocks):
+        # an interior row has 2d equidistant nearest neighbors, more than the
+        # first two rounds' candidates, so the k=28 round settles it; scaling
+        # rounds the ties into near-ties, and copies must not disturb them
+        rng = np.random.default_rng(len(shape))
+        grid = _lattice(shape, rng)
+        assert len(grid) >= 28**2
+        for pts in (grid, 0.1 * grid, np.vstack([grid, grid[rng.integers(0, len(grid), 50)]])):
+            pts = pts[rng.permutation(len(pts))]
+            expected = _nn_brute(pts)
+            sqdist_blocks.clear()
+            assert (_nn_tree(pts) == expected).all()
+            assert 28 in {cands for _, cands, _ in sqdist_blocks}
+
+    def test_lattice_costs_linear_distance_entries(self, sqdist_blocks):
+        # one all-rows comparison per tied row computed about 58M entries
+        # here; the growing candidate list needs fewer than 64 per row
+        pts = _lattice((6,) * 5, np.random.default_rng(14))
+        _nn_tree(pts)
+        assert sum(rows * cands for rows, cands, _ in sqdist_blocks) <= 64 * len(pts)
 
     @given(st.lists(st.integers(-8, 8), min_size=2, max_size=25))
     @settings(max_examples=150, deadline=None)

@@ -285,6 +285,14 @@ class TestNullVariance:
         assert c.pair_limit == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert c.triple_limit == 0.5
 
+    @pytest.mark.parametrize("source", null_constants.SOURCES)
+    def test_every_source_checks_samples_and_seed(self, source):
+        # the table and the closed form ignore both, but a bad value is refused
+        with pytest.raises(InvalidInputError, match="^o_samples must be >= 100000"):
+            null_variance(1, o_samples=5, seed=-1, source=source)
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0"):
+            null_variance(1, seed=-1, source=source)
+
     def test_table_source_reproduces_reference_rows(self):
         c = null_variance(2, source="table")
         assert (c.pair_limit, c.triple_limit) == (0.62, 0.63)
