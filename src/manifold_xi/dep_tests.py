@@ -112,8 +112,9 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     """Permutation test on the coefficient, graph built once.
 
     The NN graph depends only on ``x``, so each of the ``B`` permutations
-    just shuffles the rank vector (``rng.permuted(ranks)``, the same values
-    as ``ranks[rng.permutation(n)]``).  The comparison runs on the exact
+    just shuffles a copy of the rank vector in one reused buffer
+    (``rng.shuffle``, the same values as ``rng.permuted(ranks)`` and
+    ``ranks[rng.permutation(n)]``).  The comparison runs on the exact
     integer rank sums, and ``p = (1 + #{b : xi_b >= xi_obs}) / (B + 1)``,
     so p-values live on the lattice ``{1/(B+1), ..., 1}``.
     """
@@ -124,9 +125,10 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     nn = build_nn_graph(cloud).nn_index
     ranks = compute_ranks(y)
     observed, value = _xi_from_ranks(ranks, nn)
-    exceed = 0
+    exceed, shuffled = 0, np.empty_like(ranks)
     for _ in range(B):
-        shuffled = rng.permuted(ranks)
+        np.copyto(shuffled, ranks)
+        rng.shuffle(shuffled)
         exceed += int(np.minimum(shuffled, shuffled[nn]).sum()) >= observed
     p = (1.0 + exceed) / (B + 1.0)
     return TestResult(method="xi_permutation", statistic=value, p_value=p,

@@ -30,6 +30,7 @@ additive   ``z_j`` i.i.d. uniform on [-1, 1] and
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 
@@ -189,7 +190,14 @@ def write_dataset_csv(stream, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def read_dataset_csv(stream) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``y,x1..xD`` CSV; malformed rows name their line number."""
+    """Parse a ``y,x1..xD`` CSV; malformed rows name their line number.
+
+    numpy's C reader parses the body.  When it refuses the body, or finds
+    fewer than two rows or the wrong width, a scan line by line decides:
+    it names the offending line, skips blank lines, and reads the rare
+    spellings ``float`` takes and numpy does not (such as ``1_000``).
+    Either way the arrays are the same, bit for bit.
+    """
     header = stream.readline()
     if not header:
         raise DatasetFormatError("line 1: empty file")
@@ -197,8 +205,19 @@ def read_dataset_csv(stream) -> tuple[np.ndarray, np.ndarray]:
     if not cols or cols[0] != "y" or len(cols) < 2:
         raise DatasetFormatError("line 1: header must be y,x1,...,xD")
     width = len(cols)
+    lines = stream.readlines()
+    body = "".join(lines)
+    # numpy warns on an empty body instead of refusing it, and it takes the
+    # separators \x1c-\x1f for whitespace inside a field where float does not
+    if body.strip() and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[0] >= 2 and data.shape[1] == width:
+            return np.ascontiguousarray(data[:, 1:]), data[:, 0].copy()
     ys, xs = [], []
-    for lineno, line in enumerate(stream, start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue

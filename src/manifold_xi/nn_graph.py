@@ -10,7 +10,9 @@ kd-tree kernel for every sample size and ambient dimension:
 2. The kd-tree is built on the rows that are their own smallest index, in
    index order, and queried in its own leaf order for three candidates
    per row; exact squared distances and the smallest-index rule pick
-   among them.
+   among them.  The rows go in blocks, spread over the usable CPUs once a
+   round has ``_PARALLEL_ROWS`` rows (the queries and distance kernels
+   release the GIL); the split changes no result.
 3. Rows that list cannot provably settle (near-ties, as on lattices) are
    queried again with ``k <- 4k - 4`` candidates while ``k**2 <= n``, and
    any row left is compared with all rows.
@@ -45,14 +47,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DuplicatePointsError, InvalidInputError, check_choice, check_int
-from .rngs import parallel_map, substream
+from .rngs import parallel_map, substream, worker_count
 
 # Relative slack used when deciding whether the tree's candidate list
 # provably contains the exact nearest neighbor.  Squared distances carry a
 # relative rounding error of a few ulps; 1e-9 is orders of magnitude wider.
 _TIE_RTOL = 1e-9
 
-_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch per block
+_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
+_PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
 
 
@@ -226,17 +229,23 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
                          rows: np.ndarray, k: int):
     """Nearest neighbors of ``pts[rows]`` proposed by the tree's ``k`` nearest.
 
-    In row blocks of ``(d, rows, k)`` within ``_BRUTE_BLOCK_ENTRIES``, the
-    tree is queried, the candidates' exact squared distances recomputed
-    with :func:`_sqdist` from ``cols = pts.T`` and the smallest-index tie
-    rule applied.  At ``k = n`` every row is a candidate: no query, nothing
+    In row blocks of ``(d, rows, k)``, the tree is queried, the candidates'
+    exact squared distances recomputed with :func:`_sqdist` from
+    ``cols = pts.T`` and the smallest-index tie rule applied.  A round of
+    at least ``_PARALLEL_ROWS`` rows is split into at least one block per
+    worker and the blocks run through :func:`parallel_map`, each writing its
+    own slice; the blocks running at once stay within
+    ``_BRUTE_BLOCK_ENTRIES`` together, and no result depends on the split.
+    At ``k = n`` every row is a candidate, in index order: no query, nothing
     to prove.  Returns the chosen indices and a mask of the rows whose list
     cannot provably contain the exact nearest neighbor.
     """
     n, d = pts.shape
     nn, unsure = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
-    block = max(1, _BRUTE_BLOCK_ENTRIES // (k * d))
-    for start in range(0, len(rows), block):
+    workers = worker_count(None) if len(rows) >= _PARALLEL_ROWS else 1
+    block = max(1, min(_BRUTE_BLOCK_ENTRIES // (k * d * workers), -(-len(rows) // workers)))
+
+    def one(start: int) -> None:
         blk = slice(start, start + block)
         if k < n:
             dist, cand = tree.query(pts[rows[blk]], k=k)
@@ -245,12 +254,17 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
             cand, other = np.arange(n), cols[:, None, :]
         d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
         d2[cand == rows[blk, None]] = np.inf  # mask self wherever it appears
+        if k == n:  # np.argmin returns the first minimum, i.e. the smallest index
+            nn[blk] = d2.argmin(axis=1)
+            return
         best = d2.min(axis=1)
         nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
-        if k < n:  # rows outside the list are at least as far (by the tree's
-            # arithmetic) as the k-th candidate: beating that bound with
-            # slack proves the exact minimum is inside the list
-            unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+        # rows outside the list are at least as far (by the tree's arithmetic)
+        # as the k-th candidate: beating that bound with slack proves the
+        # exact minimum is inside the list
+        unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+
+    parallel_map(one, range(0, len(rows), block), workers)
     return nn, unsure
 
 

@@ -6,16 +6,21 @@ of thread scheduling: a worker responsible for task ``(seed, i, j)`` always
 receives the same stream regardless of how many workers run beside it.
 Work items fan out through :func:`parallel_map`, which returns results in
 item order, so aggregation never depends on which worker finished first.
+It is the package's one fan-out: a call nested in another runs inline, so
+the outer call's ``threads`` caps all the work beneath it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
+import threading
 
 import numpy as np
 
 from .errors import check_int
+
+_NESTED = threading.local()  # ``active`` while a parallel_map item runs
 
 
 def check_seed(seed):
@@ -47,25 +52,38 @@ def substream(seed, *path: int) -> np.random.Generator:
 
 
 def worker_count(threads: int | None) -> int:
-    """The number of workers for ``threads``: ``None`` means the CPU count,
+    """The number of workers for ``threads``: ``None`` means the CPUs this
+    process may run on (its affinity set where the platform reports one),
     capped at 32; otherwise ``threads`` must be an integer ``>= 1``."""
-    return (min(32, os.cpu_count() or 1) if threads is None
-            else check_int("threads", threads, 1))
+    if threads is not None:
+        return check_int("threads", threads, 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    return min(32, usable or 1)
 
 
 def parallel_map(fn, items, threads: int | None = None) -> list:
     """Return ``[fn(item) for item in items]``, computed on a thread pool.
 
-    ``threads`` is ``None`` (the CPU count, capped at 32) or an integer
-    ``>= 1`` (:func:`worker_count`).  With one worker or at most one item
-    the calls run inline on the calling thread.
+    ``threads`` is ``None`` (the usable CPUs, capped at 32) or an integer
+    ``>= 1`` (:func:`worker_count`).  With one worker, at most one item, or
+    inside an item of another ``parallel_map`` call (inline or pooled), the
+    calls run inline on the calling thread.
 
     >>> parallel_map(lambda i: i * i, range(5), threads=2)
     [0, 1, 4, 9, 16]
     """
     workers = worker_count(threads)
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+
+    def nested(item):
+        outer, _NESTED.active = getattr(_NESTED, "active", False), True
+        try:
+            return fn(item)
+        finally:
+            _NESTED.active = outer
+
+    if workers <= 1 or len(items) <= 1 or getattr(_NESTED, "active", False):
+        return [nested(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(nested, items))

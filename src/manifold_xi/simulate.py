@@ -174,7 +174,7 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
 def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     """Run every grid cell of a configuration and return sorted records.
 
-    Cells run on a thread pool (``config.threads``, default: CPU count);
+    Cells run on a thread pool (``config.threads``, default: usable CPUs);
     per-cell seeds are deterministic, so the output does not depend on the
     thread count.  Infeasible gaussian cells are recorded as skipped (see
     :class:`PowerRecord`) and the run continues.  ``log``, if given, gets

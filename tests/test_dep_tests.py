@@ -394,6 +394,19 @@ class TestDcorPermutation:
             assert np.array_equal(shuffled.permuted(ranks),
                                   ranks[gathered.permutation(n)])
 
+    @pytest.mark.parametrize("n", [3, 100, 10**4])
+    def test_shuffled_buffer_matches_permuted_ranks(self, n):
+        # The xi permutation test refills and shuffles one buffer per draw;
+        # its p-values equal rng.permuted's only while these draws agree.
+        ranks = np.arange(n, 0, -1) // 2
+        shuffled, permuted = substream(14), substream(14)
+        buf = np.empty_like(ranks)
+        for _ in range(5):
+            np.copyto(buf, ranks)
+            shuffled.shuffle(buf)
+            assert np.array_equal(buf, permuted.permuted(ranks))
+        assert shuffled.random() == permuted.random()  # the streams stay aligned
+
     def test_null_size_is_honest(self):
         rng = np.random.default_rng(20)
         rejections = 0

@@ -1,9 +1,9 @@
 """Source hygiene checks that need only the standard library's ``ast`` and
 ``inspect``: no module keeps an import it does not use or raises a bare
 ``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
-every ``check_choice`` call reads its choices from a named constant, the
-public name list is exact, and every public function and class has a
-docstring of its own."""
+every ``check_choice`` call reads its choices from a named constant, work
+fans out only through ``rngs.parallel_map``, the public name list is exact,
+and every public function and class has a docstring of its own."""
 
 import ast
 import collections
@@ -98,6 +98,44 @@ def test_the_checker_finds_literal_choices():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_choices_come_from_a_named_constant(path):
     assert literal_choices(path.read_text(encoding="utf-8")) == []
+
+
+def fan_outs(source: str) -> list[str]:
+    """Ways to fan out work other than ``rngs.parallel_map``, by line: an
+    import of ``concurrent.futures`` or ``threading``, or a call passing
+    ``workers=`` (scipy's own thread pools)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            found += [f"workers= (line {node.lineno})"
+                      for kw in node.keywords if kw.arg == "workers"]
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in ("concurrent", "threading")]
+    return found
+
+
+def test_the_checker_finds_other_fan_outs():
+    source = ("import concurrent.futures\n"
+              "from concurrent import futures\n"
+              "import os, threading\n"
+              "tree.query(pts, k=2, workers=-1)\n"
+              "from .rngs import parallel_map\n"
+              "parallel_map(fn, items, threads)\n")
+    assert fan_outs(source) == ["concurrent.futures (line 1)", "concurrent (line 2)",
+                                "threading (line 3)", "workers= (line 4)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rngs.py"],
+                         ids=lambda p: p.name)
+def test_work_fans_out_only_through_parallel_map(path):
+    assert fan_outs(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_xi import (
     DatasetFormatError,
@@ -153,7 +156,102 @@ class TestEmbeddings:
         assert np.unique(data.x, axis=0).shape[0] == 100
 
 
+def read_dataset_csv_by_lines(stream):
+    """The line-by-line reader ``read_dataset_csv`` replaced, kept as its
+    oracle: every body it accepts must give the same arrays bit for bit,
+    and every body it refuses the same message."""
+    header = stream.readline()
+    if not header:
+        raise DatasetFormatError("line 1: empty file")
+    cols = [c.strip() for c in header.strip().split(",")]
+    if not cols or cols[0] != "y" or len(cols) < 2:
+        raise DatasetFormatError("line 1: header must be y,x1,...,xD")
+    width = len(cols)
+    ys, xs = [], []
+    for lineno, line in enumerate(stream, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DatasetFormatError(
+                f"line {lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {exc}") from None
+        ys.append(row[0])
+        xs.append(row[1:])
+    if len(ys) < 2:
+        raise DatasetFormatError(f"line {len(ys) + 1}: need at least 2 data rows")
+    return np.asarray(xs), np.asarray(ys)
+
+
+def parse_outcome(reader, text):
+    """``("ok", shapes, bits)`` or ``("error", message)`` for one reader;
+    NaN payloads and the sign of zero count."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, y = reader(io.StringIO(text))
+    except DatasetFormatError as exc:
+        return ("error", str(exc))
+    assert x.dtype == y.dtype == np.float64 and x.flags.c_contiguous
+    return ("ok", x.shape, y.shape, x.view(np.int64).tolist(), y.view(np.int64).tolist())
+
+
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028"]
+FIELDS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False, width=32).map(str),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-Infinity", "+inf", "-0", "0.",
+                     ".5", "1e400", "-1e-400", "1E5", "1_000", "\u0661", "", "zebra",
+                     "1 2", "0x1p3", "1e", "--1", "\x00", '"1"', "nan(1)"]),
+)
+PADDED = st.tuples(st.sampled_from(["", ""] + SPACES), FIELDS,
+                   st.sampled_from(["", ""] + SPACES)).map("".join)
+ROWS = st.one_of(
+    st.integers(1, 4).flatmap(lambda w: st.lists(PADDED, min_size=w, max_size=w)).map(",".join),
+    st.lists(st.sampled_from(SPACES), max_size=2).map("".join),  # blank lines
+)
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header of 2-4 columns and a body of mostly well-formed rows."""
+    width = draw(st.integers(2, 4))
+    well_formed = st.lists(st.floats(allow_nan=False).map(repr), min_size=width,
+                           max_size=width).map(",".join)
+    rows = draw(st.lists(st.one_of(well_formed, well_formed, ROWS), max_size=6))
+    ends = draw(st.lists(ENDINGS, min_size=len(rows), max_size=len(rows)))
+    last = draw(st.sampled_from(["", "\n"]))
+    header = "y," + ",".join(f"x{j + 1}" for j in range(width - 1)) + "\n"
+    return header + "".join(r + e for r, e in zip(rows, ends)) + last
+
+
 class TestDatasetCsv:
+    @given(csv_bodies())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_matches_the_line_by_line_oracle(self, text):
+        assert (parse_outcome(read_dataset_csv, text)
+                == parse_outcome(read_dataset_csv_by_lines, text))
+
+    @pytest.mark.parametrize("text", [
+        "y,x1\n1,2\n\n  \n\t\n3,4\n",  # blank and whitespace lines
+        "y,x1\r\n1,2\r\n3,4\r\n",  # CRLF
+        "y,x1\n1,2\n3,4,5\n", "y,x1,x2\n1,2\n3,4\n",  # wrong widths
+        "y,x1\n1,2\n3,zebra\n", "y,x1\n1_0,2\n3,4\n",  # a bad float; one float takes
+        "y,x1\nnan,inf\n-nan,-Infinity\n",
+        "y,x1\n1,2\n", "y,x1\n", "y,x1\n\n\n", "y,x1\n \n",  # one row, empty bodies
+        "y,x1\n1,2\r3,4\n",  # a lone carriage return is not a line break
+        "y,x1\n1,2\x1c\n3,4\n", "y,x1\n1\x1c,2\n3,4\n",  # whitespace to numpy only
+    ])
+    def test_reader_matches_the_oracle_on_named_cases(self, text):
+        assert (parse_outcome(read_dataset_csv, text)
+                == parse_outcome(read_dataset_csv_by_lines, text))
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((20, 3))

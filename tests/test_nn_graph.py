@@ -1,4 +1,7 @@
+import concurrent.futures
 import gc
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from manifold_xi import (
     generate,
     nn_pair_limit,
     xi_n,
+    xi_test_permutation,
 )
 from manifold_xi import nn_graph
 from manifold_xi.manifold_gen import CASES
@@ -390,6 +394,66 @@ class TestTreeBruteEquivalence:
     def test_integer_lines_property(self, xs):
         pts = np.asarray(xs, dtype=float)[:, None]
         assert (_nn_tree(pts) == _nn_brute(pts)).all()
+
+
+class TestRowFanOut:
+    """Rounds of at least ``_PARALLEL_ROWS`` rows run their row blocks
+    through ``parallel_map``; the graph is the same for any split."""
+
+    def test_cloud_above_the_floor_keeps_its_graph(self, monkeypatch):
+        pts = np.random.default_rng(18).random((2 * nn_graph._PARALLEL_ROWS, 3))
+        default = _nn_tree(pts)
+        monkeypatch.setattr(nn_graph, "_PARALLEL_ROWS", len(pts) + 1)  # one worker
+        assert np.array_equal(_nn_tree(pts), default)
+        # more workers than cores, switching threads often: a block writing
+        # outside its own slice would change some row's neighbor
+        monkeypatch.setattr(nn_graph, "_PARALLEL_ROWS", 1)
+        workers = nn_graph.worker_count(None) + 2
+        monkeypatch.setattr(nn_graph, "worker_count", lambda threads: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert np.array_equal(_nn_tree(pts), default)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_blocks_share_the_scratch_bound(self, monkeypatch, sqdist_blocks):
+        # two usable CPUs: the first round runs at least two blocks, and the
+        # two running at once stay within the bound together
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pts = np.random.default_rng(19).random((nn_graph._PARALLEL_ROWS + 500, 3))
+        for entries in (nn_graph._BRUTE_BLOCK_ENTRIES, 2**16):
+            monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", entries)
+            sqdist_blocks.clear()
+            _nn_tree(pts)
+            first = [s for s in sqdist_blocks if s[1] == 3]
+            assert len(first) >= 2 and sum(rows for rows, _, _ in first) == len(pts)
+            assert 2 * max(np.prod(s) for s in first) <= entries
+        assert len(first) > 2  # the small bound cuts more blocks than workers
+
+    def test_small_clouds_start_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        rng = np.random.default_rng(20)
+        x, y = rng.random((100, 3)), rng.random(100)
+        _nn_tree(x)
+        xi_n(x, y)
+        xi_test_permutation(x, y, B=19)
+        _nn_tree(_lattice((3,) * 4, rng))  # interior rows reach the all-rows round
+
+    def test_split_rounds_match_the_all_pairs_graph(self, monkeypatch):
+        # every round of every cloud split over three pooled workers: seeded
+        # tie-heavy, subnormal and copied clouds (a pool per round costs
+        # about 2 ms, so a fifth of the batch), and lattices whose near-ties
+        # reach the deeper rounds
+        monkeypatch.setattr(nn_graph, "_PARALLEL_ROWS", 1)
+        monkeypatch.setattr(nn_graph, "worker_count", lambda threads: 3)
+        rng = np.random.default_rng(21)
+        lattices = [_lattice(shape, rng) for shape in [(9, 9), (4, 4, 4), (3,) * 5]]
+        for cloud in [*underflow_clouds(count=600), *lattices, *(0.1 * g for g in lattices)]:
+            assert (_nn_tree(cloud) == _nn_brute(cloud)).all()
 
 
 class TestMotifs:
