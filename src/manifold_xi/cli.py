@@ -10,7 +10,7 @@ verify-nng  empirical NN pair/triple frequencies vs the constants
 gen         generate a synthetic dataset (CSV + JSON sidecar)
 
 Exit status: 0 on success, 2 on usage errors, 1 on runtime errors.
-``--threads`` falls back to the ``XICOR_THREADS`` environment variable.
+``simulate --threads`` overrides the config's ``threads`` (default: usable CPUs).
 """
 
 from __future__ import annotations
@@ -18,20 +18,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import __version__
 from .dep_tests import DEFAULT_PERMUTATIONS, METHODS, TAILS, result_as_dict, run_test
-from .errors import InvalidInputError, ManifoldXiError, check_int
+from .errors import DatasetFormatError, ManifoldXiError, check_int
 from .manifold_gen import (
     CASES,
     TRANSFORMS,
     ScenarioSpec,
     generate,
     read_dataset_csv,
+    scenario_metadata,
     write_dataset_csv,
-    write_scenario_sidecar,
 )
 from .nn_graph import GEOMETRIES, estimate_constants_empirical
 from .null_constants import (
@@ -104,6 +103,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: str, value) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_dataset(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read_dataset_csv(fh)
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path}: not UTF-8 text") from None
+
+
 def _cmd_constants(args) -> int:
     check_int("--m-max", args.m_max, 1)
     ball_volume(args.m_max)  # refuse an m too large for the constants before any row
@@ -111,9 +124,7 @@ def _cmd_constants(args) -> int:
     rows = [null_variance(m, o_samples=args.om_samples, seed=args.seed, source=source)
             for m in range(1, args.m_max + 1)]
     if args.out and args.out.endswith(".json"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([constants_as_dict(c) for c in rows], fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, [constants_as_dict(c) for c in rows])
     elif args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_constants_csv(rows, fh)
@@ -123,15 +134,13 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        x, y = read_dataset_csv(fh)
+    x, y = _read_dataset(args.input)
     print(f"{xi_n(x, y).value:.10g}")
     return 0
 
 
 def _cmd_test(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        x, y = read_dataset_csv(fh)
+    x, y = _read_dataset(args.input)
     result = run_test(args.method, x, y, args.alpha, m=args.dim, tail=args.tail,
                       B=args.permutations, seed=args.seed)
     print(json.dumps(result_as_dict(result, m=args.dim)))
@@ -140,16 +149,8 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    threads = args.threads
-    env_threads = os.environ.get("XICOR_THREADS")
-    if threads is None and env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise InvalidInputError(
-                f"XICOR_THREADS must be an integer, got {env_threads!r}") from None
-    if threads is not None:
-        config = dataclasses.replace(config, threads=threads)
+    if args.threads is not None:
+        config = dataclasses.replace(config, threads=args.threads)
     log = None if args.quiet else (lambda line: print(line, file=sys.stderr))
     records = run_experiment(config, log=log)
     for rec in records:
@@ -165,6 +166,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_nng(args) -> int:
+    ball_volume(args.m)  # refuse an m too large for the constants before simulating
     est = estimate_constants_empirical(args.m, args.n, args.reps,
                                        geometry=args.geometry, seed=args.seed)
     ref = default_null_constants(args.m)
@@ -188,8 +190,7 @@ def _cmd_gen(args) -> int:
     data = generate(spec)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_dataset_csv(fh, data.x, data.y)
-    with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-        write_scenario_sidecar(fh, spec)
+    _write_json(args.out + ".meta.json", scenario_metadata(spec))
     return 0
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateInputError, InvalidInputError, check_choice, check_int, check_real
+from .errors import (
+    DegenerateInputError,
+    InvalidInputError,
+    TieError,
+    check_choice,
+    check_int,
+    check_real,
+)
 from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
@@ -84,18 +91,26 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     Raises
     ------
     InvalidInputError
-        If ``x`` or ``y`` is malformed; checked before the constants.
+        If ``x`` or ``y`` is malformed (checked before the constants) or
+        ``constants`` are for another ``m``.
     DegenerateInputError
         If ``y`` is constant; the statistic is meaningless there.
+    TieError
+        If two responses are equal: ``sigma^2(m)`` assumes a continuous ``y``.
     """
     _check_alpha(alpha)
     check_int("m", m, 1)
     check_choice("tail", tail, TAILS)
     cloud, y = _validate_pair(x, y, min_n=3)
-    if np.all(y == y[0]):
+    order = np.sort(y)
+    if order[0] == order[-1]:
         raise DegenerateInputError("constant response: asymptotic test undefined")
+    if (order[1:] == order[:-1]).any():
+        raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
+    elif constants.m != m:
+        raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
     stat = xi_n(cloud, y)
     z = math.sqrt(stat.n) * stat.value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.

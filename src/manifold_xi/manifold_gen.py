@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -237,21 +236,10 @@ def read_dataset_csv(stream) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scenario_metadata(spec: ScenarioSpec) -> dict:
-    """JSON-ready sidecar describing a scenario (includes the R hash)."""
-    meta = {
-        "case": spec.case,
-        "transform": spec.transform,
-        "m": spec.m,
-        "rho": spec.rho,
-        "n": spec.n,
-        "seed": list(spec.seed) if isinstance(spec.seed, tuple) else spec.seed,
-        "r_seed": spec.r_seed,
-    }
+    """JSON-ready sidecar: the scenario's fields, plus the R hash for ``linear_embed``."""
+    meta = asdict(spec)
+    if isinstance(spec.seed, tuple):
+        meta["seed"] = list(spec.seed)
     if spec.transform == "linear_embed":
         meta["r_matrix_hash"] = matrix_hash(linear_embedding_matrix(spec.m, spec.r_seed))
     return meta
-
-
-def write_scenario_sidecar(stream, spec: ScenarioSpec) -> None:
-    json.dump(scenario_metadata(spec), stream, indent=2)
-    stream.write("\n")

@@ -59,22 +59,17 @@ class ExperimentConfig:
     xi_tail: str = "right"  # "two_sided" reproduces two-sided-threshold studies
 
     def __post_init__(self):
-        for name in ("cases", "transforms", "m_grid", "rho_grid", "methods"):
+        grids = (("cases", lambda v: check_choice("case", v, CASES)),
+                 ("transforms", lambda v: check_choice("transform", v, TRANSFORMS)),
+                 ("m_grid", lambda v: check_int("m_grid entry", v, 1)),
+                 ("rho_grid", lambda v: check_real("rho_grid entry", v, 0.0)),
+                 ("methods", lambda v: check_choice("method", v, METHODS)))
+        for name, check_entry in grids:
             grid = getattr(self, name)
             if not (isinstance(grid, tuple) and grid):
                 raise InvalidInputError(f"{name} must be a non-empty tuple, got {grid!r}")
-        for case in self.cases:
-            check_choice("case", case, CASES)
-        for transform in self.transforms:
-            check_choice("transform", transform, TRANSFORMS)
-        for method in self.methods:
-            check_choice("method", method, METHODS)
-        for m in self.m_grid:
-            check_int("m_grid entry", m, 1)
-        for rho in self.rho_grid:
-            check_real("rho_grid entry", rho, 0.0)
-        for name in ("cases", "transforms", "m_grid", "rho_grid", "methods"):
-            grid = getattr(self, name)
+            for entry in grid:
+                check_entry(entry)
             if len(set(grid)) < len(grid):  # a repeat would run a cell twice
                 raise InvalidInputError(f"{name} must list each entry once, got {grid!r}")
         check_int("n", self.n, 4)
@@ -129,7 +124,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatasetFormatError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetFormatError(f"{path}: config must be a JSON object")

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from manifold_xi import REFERENCE_PAIR_LIMITS, REFERENCE_TRIPLE_LIMITS
+from manifold_xi import REFERENCE_PAIR_LIMITS, REFERENCE_TRIPLE_LIMITS, ScenarioSpec
 from manifold_xi import cli, null_constants
 from manifold_xi.cli import cli_dispatch
 from manifold_xi.manifold_gen import read_dataset_csv
@@ -122,6 +123,27 @@ def test_xi_malformed_csv_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_xi_undecodable_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"y,x1\n1.0,2.0\n2.0,\xff3.0\n3.0,1.0\n")
+    assert cli_dispatch(["xi", "--input", path.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path.as_posix()}: not UTF-8 text"]
+
+
+def test_test_tied_response_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_text("y,x1\n" + "".join(f"{i % 2}.0,{(7 * i) % 10}.5\n" for i in range(10)))
+    assert cli_dispatch(["test", "--input", path.as_posix(),
+                         "--method", "xi_asymptotic", "--dim", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tied responses")
+    assert "xi_permutation" in lines[0]
+
+
 def test_test_constant_response_exits_one(tmp_path, capsys):
     path = tmp_path / "const.csv"
     path.write_text("y,x1\n" + "".join(f"2.0,{v}.0\n" for v in range(10)))
@@ -191,6 +213,19 @@ def test_gen_writes_dataset_and_sidecar(tmp_path):
     assert meta["case"] == "cosine" and meta["n"] == 50
 
 
+@pytest.mark.parametrize("transform", ["linear_embed", "identity"])
+def test_gen_sidecar_keys_are_the_spec_fields(tmp_path, transform):
+    out = tmp_path / "g.csv"
+    assert cli_dispatch(["gen", "--case", "gaussian", "--transform", transform,
+                         "--m", "2", "--rho", "0.3", "--n", "50", "--seed", "4",
+                         "--out", out.as_posix()]) == 0
+    text = (tmp_path / "g.csv.meta.json").read_text()
+    meta = json.loads(text)
+    keys = [f.name for f in dataclasses.fields(ScenarioSpec)]
+    assert list(meta) == keys + ["r_matrix_hash"] * (transform == "linear_embed")
+    assert text == json.dumps(meta, indent=2) + "\n"
+
+
 def test_gen_then_xi_round_trip(tmp_path, capsys):
     out = tmp_path / "line.csv"
     assert cli_dispatch(["gen", "--case", "linear", "--transform", "identity",
@@ -258,29 +293,33 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     assert "extra_knob" in capsys.readouterr().err
 
 
-def test_simulate_threads_env_fallback(tmp_path, capsys, monkeypatch):
+def test_simulate_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # the worker count comes from --threads or the config, never the environment
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"cases": ["linear"], "transforms":
                                     ["identity"], "m_grid": [1],
-                                    "rho_grid": [0.0], "n": 30, "reps": 4,
+                                    "rho_grid": [0.0, 0.5], "n": 30, "reps": 4,
                                     "methods": ["xi_permutation"], "B": 19}))
-    out = tmp_path / "r.csv"
-    monkeypatch.setenv("XICOR_THREADS", "2")
+    outs = [tmp_path / "plain.csv", tmp_path / "env.csv"]
     assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(), "--out",
-                         out.as_posix(), "--quiet"]) == 0
-    assert out.read_text().count("\n") == 2  # header + one record
-
-
-def test_simulate_rejects_non_integer_threads_env(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"cases": ["linear"], "transforms":
-                                    ["identity"], "m_grid": [1],
-                                    "rho_grid": [0.0], "n": 30, "reps": 4,
-                                    "methods": ["xi_permutation"], "B": 19}))
+                         outs[0].as_posix(), "--quiet"]) == 0
     monkeypatch.setenv("XICOR_THREADS", "two")
-    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "XICOR_THREADS" in err
+    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(), "--out",
+                         outs[1].as_posix(), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    plain, env = ([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+                  for out in outs)
+    assert plain == env and len(plain) == 3  # header + two records
+
+
+def test_simulate_refuses_an_undecodable_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"cases": ["lin\xffear"]}')
+    assert cli_dispatch(["simulate", "--config", cfg_path.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_path.as_posix()}:")
 
 
 def test_verify_nng_reports_deviations(capsys):
@@ -288,6 +327,19 @@ def test_verify_nng_reports_deviations(capsys):
                          "--geometry", "torus", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "pair rate" in out and "triple rate" in out
+
+
+def test_verify_nng_refuses_too_large_m_before_simulating(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before checking --m")
+
+    monkeypatch.setattr(cli, "estimate_constants_empirical", fail)
+    assert cli_dispatch(["verify-nng", "--m", "342", "--n", "2000", "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "m must be below 342" in lines[0]
 
 
 TINY_CONFIG = {"cases": ["linear"], "transforms": ["identity"], "m_grid": [1],
@@ -303,10 +355,8 @@ TINY_CONFIG = {"cases": ["linear"], "transforms": ["identity"], "m_grid": [1],
     {"methods": ["xi_asymptotic", "xi_asymptotic"]}, {"cases": ["linear", "linear"]},
     {"m_grid": [1, 1]},
 ], ids=lambda mistake: json.dumps(mistake))
-def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                  mistake):
+def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, mistake):
     # a float for an integer or a bool for a count is refused, not truncated
-    monkeypatch.delenv("XICOR_THREADS", raising=False)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY_CONFIG, **mistake}))
     assert cli_dispatch(["simulate", "--config", cfg_path.as_posix()]) == 1
@@ -318,9 +368,8 @@ def test_simulate_config_mistake_is_one_error_line(tmp_path, capsys, monkeypatch
     assert next(iter(mistake)) in lines[0]  # the message names the key
 
 
-def test_simulate_refuses_an_integer_rho_beyond_float(tmp_path, capsys, monkeypatch):
+def test_simulate_refuses_an_integer_rho_beyond_float(tmp_path, capsys):
     # a 401-digit JSON integer is finite as an int but has no float value
-    monkeypatch.delenv("XICOR_THREADS", raising=False)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY_CONFIG, "rho_grid": [10**400]}))
     out = tmp_path / "out.csv"

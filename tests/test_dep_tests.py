@@ -8,6 +8,7 @@ from scipy import special
 from manifold_xi import (
     DegenerateInputError,
     InvalidInputError,
+    TieError,
     dcor_stats,
     dcor_test_permutation,
     null_variance,
@@ -98,6 +99,31 @@ class TestXiAsymptotic:
         with pytest.raises(DegenerateInputError):
             xi_test_asymptotic(x, np.full(30, 3.3), m=2, constants=EXACT_1D)
 
+    @pytest.mark.parametrize("levels", ["binary", "three", "rounded", "one_tie"])
+    def test_tied_response_refused_before_the_constants(self, monkeypatch, levels):
+        # sigma^2(m) assumes a continuous response: with binary y on the square
+        # the test rejected in every one of 200 null replicates at n=200
+        def fail(m):
+            raise AssertionError("null constants fetched for a tied response")
+
+        monkeypatch.setattr(dep_tests, "default_null_constants", fail)
+        rng = np.random.default_rng(31)
+        x = rng.random((200, 2))
+        y = {"binary": rng.integers(0, 2, 200).astype(float),
+             "three": rng.integers(0, 3, 200).astype(float),
+             "rounded": np.round(rng.random(200), 1),
+             "one_tie": np.r_[rng.random(198), 0.5, 0.5]}[levels]
+        for test in (lambda: xi_test_asymptotic(x, y, m=2),
+                     lambda: run_test("xi_asymptotic", x, y, m=2)):
+            with pytest.raises(TieError, match="xi_permutation"):
+                test()
+
+    def test_constants_for_another_m_refused(self):
+        rng = np.random.default_rng(33)
+        x, y = rng.random((30, 3)), rng.random(30)
+        with pytest.raises(InvalidInputError, match="constants are for m=1, not m=3"):
+            xi_test_asymptotic(x, y, m=3, constants=EXACT_1D)
+
     def test_bad_x_refused_before_the_constants(self, monkeypatch):
         def fail(m):
             raise AssertionError("null constants fetched before x was validated")
@@ -168,8 +194,8 @@ class TestXiPermutation:
         a = xi_test_permutation(x, y, B=99, seed=3)
         b = xi_test_permutation(x, np.exp(y), B=99, seed=3)
         assert (a.statistic, a.p_value, a.reject) == (b.statistic, b.p_value, b.reject)
-        c = xi_test_asymptotic(x, y, m=2, constants=EXACT_1D)
-        d = xi_test_asymptotic(x, y**3, m=2, constants=EXACT_1D)
+        c = xi_test_asymptotic(x, y, m=1, constants=EXACT_1D)
+        d = xi_test_asymptotic(x, y**3, m=1, constants=EXACT_1D)
         assert (c.p_value, c.reject) == (d.p_value, d.reject)
 
     def test_permutation_null_mean_matches_exact_value(self):

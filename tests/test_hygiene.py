@@ -2,8 +2,9 @@
 ``inspect``: no module keeps an import it does not use or raises a bare
 ``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
 every ``check_choice`` call reads its choices from a named constant, work
-fans out only through ``rngs.parallel_map``, the public name list is exact,
-and every public function and class has a docstring of its own."""
+fans out only through ``rngs.parallel_map``, no module reads the process
+environment, the public name list is exact, and every public function and
+class has a docstring of its own."""
 
 import ast
 import collections
@@ -136,6 +137,37 @@ def test_the_checker_finds_other_fan_outs():
                          ids=lambda p: p.name)
 def test_work_fans_out_only_through_parallel_map(path):
     assert fan_outs(path.read_text(encoding="utf-8")) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """Uses of ``os.environ``, ``os.getenv`` or ``os.putenv``, by line, as an
+    attribute or a name imported from ``os``: every input of the package is
+    an argument or a file it is given."""
+    names = ("environ", "getenv", "putenv")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in names]
+    return found
+
+
+def test_the_checker_finds_environment_reads():
+    source = ("from os import getenv, path\n"
+              "threads = os.environ.get('THREADS')\n"
+              "os.getenv('A')\n"
+              "os.putenv('B', '1')\n"
+              "os.path.join('a', 'b')\n"
+              "os.sched_getaffinity(0)\n")
+    assert environment_reads(source) == ["getenv (line 1)", "getenv (line 3)",
+                                         "putenv (line 4)", "environ (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

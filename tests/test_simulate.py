@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             tiny_config(alpha=0.0)
 
+    def test_first_bad_grid_in_field_order_is_reported(self):
+        # each grid is checked whole (a tuple, its entries, no repeats) in turn
+        with pytest.raises(InvalidInputError, match="^transform must be one of"):
+            tiny_config(transforms=("warp",), m_grid=(), methods=("anova",))
+        with pytest.raises(InvalidInputError, match="^cases must list each entry once"):
+            tiny_config(cases=("linear", "linear"), rho_grid=(-1.0,))
+
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
