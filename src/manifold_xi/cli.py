@@ -111,10 +111,12 @@ def _write_json(path: str, value) -> None:
 
 def _read_dataset(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return read_dataset_csv(fh)
     except UnicodeDecodeError:
         raise DatasetFormatError(f"{path}: not UTF-8 text") from None
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def _cmd_constants(args) -> int:

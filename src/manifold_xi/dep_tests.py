@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .errors import (
-    DegenerateInputError,
     InvalidInputError,
     TieError,
     check_choice,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .nn_graph import _pairwise_sqdist, build_nn_graph
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import _validate_pair, _xi_from_ranks, compute_ranks, xi_n
+from .rank_xi import _tie_sizes, _validate_pair, _xi_from_ranks
 from .rngs import check_seed, substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -101,24 +100,22 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     _check_alpha(alpha)
     check_int("m", m, 1)
     check_choice("tail", tail, TAILS)
-    cloud, y = _validate_pair(x, y, min_n=3)
-    order = np.sort(y)
-    if order[0] == order[-1]:
-        raise DegenerateInputError("constant response: asymptotic test undefined")
-    if (order[1:] == order[:-1]).any():
+    cloud, _, ranks = _validate_pair(x, y, min_n=3)
+    sizes = _tie_sizes(ranks)
+    if sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
     elif constants.m != m:
         raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
-    stat = xi_n(cloud, y)
-    z = math.sqrt(stat.n) * stat.value / math.sqrt(constants.sigma2)
+    _, value = _xi_from_ranks(ranks, sizes, build_nn_graph(cloud).nn_index)
+    z = math.sqrt(cloud.n) * value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.
     if tail == "right":
         p = float(special.ndtr(-z))
     else:
         p = 2.0 * float(special.ndtr(-abs(z)))
-    return TestResult(method="xi_asymptotic", statistic=stat.value, p_value=p,
+    return TestResult(method="xi_asymptotic", statistic=value, p_value=p,
                       reject=p <= alpha, alpha=alpha, z_score=z, m_used=m)
 
 
@@ -131,15 +128,18 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     (``rng.shuffle``, the same values as ``rng.permuted(ranks)`` and
     ``ranks[rng.permutation(n)]``).  The comparison runs on the exact
     integer rank sums, and ``p = (1 + #{b : xi_b >= xi_obs}) / (B + 1)``,
-    so p-values live on the lattice ``{1/(B+1), ..., 1}``.
+    so p-values live on the lattice ``{1/(B+1), ..., 1}``.  On tied
+    responses the statistic is ``T_n`` (see :mod:`manifold_xi.rank_xi`),
+    which is increasing in the rank sum, so the p-value is the same.  A
+    constant response raises :class:`DegenerateInputError`.
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
-    cloud, y = _validate_pair(x, y, min_n=3)
+    cloud, _, ranks = _validate_pair(x, y, min_n=3)
+    sizes = _tie_sizes(ranks)
     nn = build_nn_graph(cloud).nn_index
-    ranks = compute_ranks(y)
-    observed, value = _xi_from_ranks(ranks, nn)
+    observed, value = _xi_from_ranks(ranks, sizes, nn)
     exceed, shuffled = 0, np.empty_like(ranks)
     for _ in range(B):
         np.copyto(shuffled, ranks)
@@ -196,7 +196,7 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     by the geometric mean of the two self-products.  A constant ``x`` or
     ``y`` makes the normalizer zero; that degenerate case reports 0.
     """
-    cloud, y = _validate_pair(x, y, min_n=4)
+    cloud, y, _ = _validate_pair(x, y, min_n=4)
     _, _, cross, dvar_x, dvar_y, norm = _dcor_parts(cloud.points, y)
     dcov2 = max(cross, 0.0)
     if norm <= 0.0:
@@ -272,7 +272,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
-    cloud, y = _validate_pair(x, y, min_n=4)
+    cloud, y, _ = _validate_pair(x, y, min_n=4)
     a, b, observed, _, _, norm = _dcor_parts(cloud.points, y)
     n = cloud.n
     if norm <= 0.0:

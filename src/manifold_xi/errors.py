@@ -26,7 +26,7 @@ class DuplicatePointsError(InvalidInputError):
 
 
 class TieError(InvalidInputError):
-    """Exactly tied responses under ``xi_n(strict=True)``."""
+    """Exactly tied responses under ``xi_n(strict=True)`` or in the asymptotic test."""
 
 
 class DegenerateInputError(InvalidInputError):

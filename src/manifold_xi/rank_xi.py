@@ -1,14 +1,17 @@
 """Ranks, the graph-based correlation coefficient, and its moment oracle.
 
 For predictors ``x_1..x_n`` (any dimension) and responses ``y_1..y_n``,
-let ``R_i = #{j : y_j <= y_i}`` and let ``N(i)`` index the nearest
-neighbor of ``x_i``.  The coefficient is
+let ``R_i = #{j : y_j <= y_i}``, ``L_i = #{j : y_j >= y_i}`` and let
+``N(i)`` index the nearest neighbor of ``x_i``.  With the exact integer
+``S = sum_i min(R_i, R_N(i))``, the coefficient is the tie-robust form of
+Chatterjee (2021) and Azadkia & Chatterjee (2021),
 
-    xi_n = 6 / (n^2 - 1) * sum_i min(R_i, R_N(i))  -  (2n + 1) / (n - 1).
+    T_n = (n * S - sum_i L_i^2) / sum_i L_i (n - L_i),
 
-Under independence it is centered near zero; when ``y`` is a function of
-``x`` it approaches one.  The rank sum is accumulated in exact integer
-arithmetic; a single floating-point division produces the value.
+which without ties is computed as ``xi_n = 6 S / (n^2 - 1) - (2n + 1) /
+(n - 1)``, the same value in exact arithmetic.  Under independence it is
+centered near zero; when ``y`` is a function of ``x`` it approaches one.
+A constant ``y`` makes it undefined and is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, TieError, check_int
+from .errors import DegenerateInputError, InvalidInputError, TieError, check_int
 from .nn_graph import PointCloud, as_point_cloud, build_nn_graph
 from .rngs import substream
 
@@ -42,45 +45,55 @@ class KernelMoments:
     samples: int
 
 
-def _validate_response(y) -> np.ndarray:
+def compute_ranks(y) -> np.ndarray:
+    """Counting ranks ``R_i = #{j : y_j <= y_i}`` (values in ``1..n``).
+
+    This is the one check of a response: it must be 1-D, hold at least two
+    values and be finite.  Tied responses share their largest rank, so
+    ``np.bincount(ranks)[ranks]`` is the size of each response's tie group.
+
+    >>> compute_ranks([10.0, -3.0, 5.5]).tolist()
+    [3, 1, 2]
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"response must be 1-D, got ndim={y.ndim}")
     check_int("number of responses", y.shape[0], 2)
     if not np.isfinite(y).all():
         raise InvalidInputError("response contains non-finite values")
-    return y
+    return np.searchsorted(np.sort(y), y, side="right").astype(np.int64)
 
 
-def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray]:
-    """Validate paired predictors and responses of equal length ``n >= min_n``."""
+def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray, np.ndarray]:
+    """Validate paired predictors and responses of equal length ``n >= min_n``;
+    returns the cloud, the responses as floats and their ranks."""
     cloud = as_point_cloud(x)
-    y = _validate_response(y)
+    y = np.asarray(y, dtype=float)
+    ranks = compute_ranks(y)
     if y.shape[0] != cloud.n:
         raise InvalidInputError(f"length mismatch: {cloud.n} points vs {y.shape[0]} responses")
     check_int("n", cloud.n, min_n)
-    return cloud, y
+    return cloud, y, ranks
 
 
-def compute_ranks(y) -> np.ndarray:
-    """Counting ranks ``R_i = #{j : y_j <= y_i}`` (values in ``1..n``).
-
-    Tied responses all receive the maximal shared rank, which is the
-    graceful degradation of the counting definition.
-
-    >>> compute_ranks([10.0, -3.0, 5.5]).tolist()
-    [3, 1, 2]
-    """
-    y = _validate_response(y)
-    order = np.sort(y)
-    return np.searchsorted(order, y, side="right").astype(np.int64)
+def _tie_sizes(ranks: np.ndarray) -> np.ndarray:
+    """Size of each response's tie group; a constant response is refused."""
+    sizes = np.bincount(ranks)[ranks]
+    if sizes[0] == sizes.shape[0]:
+        raise DegenerateInputError("constant response: the coefficient is undefined")
+    return sizes
 
 
-def _xi_from_ranks(ranks: np.ndarray, nn: np.ndarray) -> tuple[int, float]:
-    """Exact rank sum ``sum_i min(R_i, R_N(i))`` and the coefficient it gives."""
+def _xi_from_ranks(ranks: np.ndarray, sizes: np.ndarray,
+                   nn: np.ndarray) -> tuple[int, float]:
+    """Exact rank sum ``S = sum_i min(R_i, R_N(i))`` and the coefficient it
+    gives: ``xi_n`` without ties, ``T_n`` with them (tie-group ``sizes``)."""
     n = ranks.shape[0]
     rank_sum = int(np.minimum(ranks, ranks[nn]).sum())
-    return rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
+    if sizes.max() == 1:
+        return rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
+    upper = (n - ranks + sizes).astype(float)  # L_i = #{j : y_j >= y_i}
+    return rank_sum, float((n * rank_sum - upper @ upper) / (upper @ (n - upper)))
 
 
 def xi_n(x, y, strict: bool = False) -> XiStatistic:
@@ -98,17 +111,19 @@ def xi_n(x, y, strict: bool = False) -> XiStatistic:
 
     Notes
     -----
-    Requires ``n >= 3``.  The graph is the exact kd-tree one of
+    Requires ``n >= 3`` and a response that is not constant
+    (:class:`DegenerateInputError`).  Tied responses give the tie-robust
+    ``T_n`` of the module docstring.  The graph is the exact kd-tree one of
     :func:`build_nn_graph` for every ``n`` and ``d``; distance ties break
     toward the smallest index, so the value is deterministic on any input.
     """
-    cloud, y = _validate_pair(x, y, min_n=3)
+    cloud, _, ranks = _validate_pair(x, y, min_n=3)
+    sizes = _tie_sizes(ranks)
     if strict:
         cloud.require_distinct()
-        if np.unique(y).shape[0] < y.shape[0]:
+        if sizes.max() > 1:
             raise TieError("response contains exact ties")
-    graph = build_nn_graph(cloud)
-    _, value = _xi_from_ranks(compute_ranks(y), graph.nn_index)
+    _, value = _xi_from_ranks(ranks, sizes, build_nn_graph(cloud).nn_index)
     return XiStatistic(value=value, n=cloud.n)
 
 

@@ -120,8 +120,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a JSON configuration file; see :func:`config_from_dict`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a JSON configuration file (a UTF-8 byte-order mark is skipped);
+    see :func:`config_from_dict`."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

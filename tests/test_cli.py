@@ -120,7 +120,15 @@ def test_xi_malformed_csv_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("y,x1\n1.0,2.0\nbroken\n")
     assert cli_dispatch(["xi", "--input", path.as_posix()]) == 1
-    assert "line 3" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path.as_posix()}: line 3: expected 2 fields, got 1"]
+
+
+def test_xi_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x1\n1.0,1.0\n2.0,2.0\n3.0,3.0\n")
+    assert cli_dispatch(["xi", "--input", path.as_posix()]) == 0
+    assert capsys.readouterr().out.strip() == "-0.5"
 
 
 def test_xi_undecodable_file_is_one_error_line(tmp_path, capsys):
@@ -151,6 +159,18 @@ def test_test_constant_response_exits_one(tmp_path, capsys):
                          "--method", "xi_asymptotic", "--dim", "1"])
     assert code == 1
     assert "constant response" in capsys.readouterr().err
+
+
+def test_test_permutation_reports_the_tie_robust_coefficient(tmp_path, capsys):
+    # x = 0..7 on a line and y = 0,0,0,0,1,1,1,1: R_i is 4 or 8, L_i is 8 or
+    # 4, row i's neighbor is i - 1 (row 0's is 1), the rank sum is 44 and
+    # T_n = (8*44 - 4*64 - 4*16) / (4*8*0 + 4*4*4) = 1/2 (the tie-free
+    # expression would give 6*44/63 - 17/7 = 1.76)
+    path = tmp_path / "tied.csv"
+    path.write_text("y,x1\n" + "".join(f"{i // 4},{i}\n" for i in range(8)))
+    assert cli_dispatch(["test", "--input", path.as_posix(), "--method",
+                         "xi_permutation", "--permutations", "19"]) == 0
+    assert json.loads(capsys.readouterr().out)["statistic"] == 0.5
 
 
 def test_test_requires_dim_for_asymptotic(three_points, capsys):
@@ -320,6 +340,21 @@ def test_simulate_refuses_an_undecodable_config(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_path.as_posix()}:")
+
+
+def test_simulate_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = {"cases": ["linear"], "transforms": ["identity"], "m_grid": [1],
+           "rho_grid": [0.0], "n": 20, "reps": 2, "methods": ["xi_permutation"],
+           "B": 19}
+    outs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg_path.write_bytes(prefix + json.dumps(cfg).encode())
+        assert cli_dispatch(["simulate", "--config", cfg_path.as_posix(),
+                             "--out", out.as_posix(), "--quiet"]) == 0
+        outs.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    capsys.readouterr()
+    assert outs[0] == outs[1] and len(outs[0]) == 2
 
 
 def test_verify_nng_reports_deviations(capsys):

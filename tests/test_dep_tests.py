@@ -16,7 +16,7 @@ from manifold_xi import (
     xi_test_asymptotic,
     xi_test_permutation,
 )
-from manifold_xi import dep_tests, nn_graph, null_constants
+from manifold_xi import dep_tests, nn_graph, null_constants, rank_xi
 from manifold_xi.dep_tests import METHODS, _centred_distances, result_as_dict, run_test
 from manifold_xi.rngs import substream
 
@@ -181,11 +181,30 @@ class TestXiPermutation:
         assert res.p_value == pytest.approx(1.0 / 200.0, abs=1e-12)
         assert res.reject
 
-    def test_constant_response_gives_p_one(self):
+    def test_constant_response_refused(self):
         x = np.random.default_rng(8).random((20, 1))
-        res = xi_test_permutation(x, np.ones(20), B=39, seed=0)
-        assert res.p_value == 1.0
-        assert not res.reject
+        with pytest.raises(DegenerateInputError, match="constant response"):
+            xi_test_permutation(x, np.ones(20), B=39, seed=0)
+
+    def test_tied_statistic_is_the_tie_robust_coefficient(self):
+        rng = np.random.default_rng(13)
+        x = rng.random((200, 2))
+        y = rng.integers(0, 2, 200).astype(float)
+        res = xi_test_permutation(x, y, B=99, seed=1)
+        assert res.statistic == xi_n(x, y).value
+        assert abs(res.statistic) < 0.3  # the tie-free expression gives 1.80
+
+    @pytest.mark.parametrize("levels", ["binary", "three", "rounded"])
+    def test_size_holds_on_tied_responses(self, levels):
+        rng = np.random.default_rng(14)
+        reps, rejections = 200, 0
+        for rep in range(reps):
+            x = rng.random((100, 2))
+            y = {"binary": rng.integers(0, 2, 100).astype(float),
+                 "three": rng.integers(0, 3, 100).astype(float),
+                 "rounded": np.round(rng.standard_normal(100), 1)}[levels]
+            rejections += xi_test_permutation(x, y, B=99, seed=rep).reject
+        assert rejections / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 
     def test_decisions_invariant_under_monotone_response_transform(self):
         rng = np.random.default_rng(9)
@@ -236,6 +255,42 @@ class TestXiPermutation:
             r = ranks[perm.permutation(80)]
             exceed += int(np.minimum(r, r[nn]).sum()) >= observed
         assert xi_test_permutation(x, y, B=99, seed=4).p_value == (1 + exceed) / 100
+
+
+class TestOneResponsePath:
+    @pytest.fixture
+    def counted_ranks(self, monkeypatch):
+        calls = []
+        ranks = rank_xi.compute_ranks
+
+        def counted(y):
+            calls.append(len(y))
+            return ranks(y)
+
+        monkeypatch.setattr(rank_xi, "compute_ranks", counted)
+        return calls
+
+    def test_each_xi_entry_point_ranks_the_response_once(self, counted_ranks):
+        rng = np.random.default_rng(15)
+        x, y = rng.random((50, 2)), rng.random(50)
+        for call in (lambda: xi_n(x, y),
+                     lambda: xi_test_asymptotic(x, y, m=1, constants=EXACT_1D),
+                     lambda: xi_test_permutation(x, y, B=19)):
+            counted_ranks.clear()
+            call()
+            assert counted_ranks == [50]
+
+    def test_asymptotic_test_does_not_call_xi_n(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("xi_test_asymptotic called xi_n")
+
+        monkeypatch.setattr(rank_xi, "xi_n", fail)
+        monkeypatch.setattr(dep_tests, "xi_n", fail, raising=False)
+        rng = np.random.default_rng(16)
+        x, y = rng.random((50, 2)), rng.random(50)
+        res = xi_test_asymptotic(x, y, m=1, constants=EXACT_1D)
+        monkeypatch.undo()
+        assert res.statistic == xi_n(x, y).value
 
 
 class TestDistanceCorrelation:

@@ -3,8 +3,8 @@
 ``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
-environment, the public name list is exact, and every public function and
-class has a docstring of its own."""
+environment, files are read as ``utf-8-sig``, the public name list is
+exact, and every public function and class has a docstring of its own."""
 
 import ast
 import collections
@@ -168,6 +168,37 @@ def test_the_checker_finds_environment_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def bom_blind_reads(source: str) -> list[str]:
+    """``open`` calls that read text as ``encoding="utf-8"``, by line: such a
+    reader takes a byte-order mark for part of the first field, so files
+    are read as ``utf-8-sig`` (writes stay plain ``utf-8``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        args = dict(zip(("file", "mode"), node.args))
+        args.update((kw.arg, kw.value) for kw in node.keywords)
+        mode, encoding = (getattr(args.get(k), "value", None) for k in ("mode", "encoding"))
+        if encoding == "utf-8" and not set(mode or "r") & set("wax+"):
+            found.append(f"open (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_bom_blind_reads():
+    source = ("open(p, 'r', encoding='utf-8')\n"
+              "open(p, encoding='utf-8')\n"
+              "open(p, mode='rt', encoding='utf-8')\n"
+              "open(p, 'w', encoding='utf-8')\n"
+              "open(p, 'r', encoding='utf-8-sig')\n"
+              "open(p, 'rb')\n")
+    assert bom_blind_reads(source) == [f"open (line {i})" for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_files_are_read_as_utf8_sig(path):
+    assert bom_blind_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_xi import (
+    DegenerateInputError,
+    DuplicatePointsError,
     InvalidInputError,
     PointCloud,
     TieError,
@@ -52,11 +54,11 @@ class TestXiValue:
         assert stat.value == pytest.approx(-0.5, abs=1e-15)
         assert stat.n == 3
 
-    def test_constant_response_documented_degenerate_value(self):
-        # all ranks equal n, so the rank sum is n^2; for n=3 the formula
-        # gives 6*9/8 - 7/2 = 27/4 - 7/2 = 13/4 (meaningless but defined)
-        stat = xi_n([[1.0], [2.0], [3.0]], [5.0, 5.0, 5.0])
-        assert stat.value == pytest.approx(13.0 / 4.0, abs=1e-15)
+    def test_constant_response_refused(self):
+        # every L_i = n, so the denominator sum L_i (n - L_i) of T_n is zero
+        for strict in (False, True):
+            with pytest.raises(DegenerateInputError, match="constant response"):
+                xi_n([[1.0], [2.0], [3.0]], [5.0, 5.0, 5.0], strict=strict)
 
     def test_brute_and_tree_agree(self):
         rng = np.random.default_rng(0)
@@ -87,6 +89,10 @@ class TestXiValue:
         stat = xi_n(x, x[:, 0])
         assert 0.9 < stat.value < 1.001
 
+    def test_strict_refuses_duplicate_rows_before_tied_responses(self):
+        with pytest.raises(DuplicatePointsError):
+            xi_n([[0.0], [0.0], [1.0]], [1.0, 1.0, 2.0], strict=True)
+
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             xi_n([[1.0], [2.0]], [1.0, 2.0])  # n < 3
@@ -94,6 +100,52 @@ class TestXiValue:
             xi_n([[1.0], [2.0], [3.0]], [1.0, 2.0])  # length mismatch
         with pytest.raises(TieError):
             xi_n([[1.0], [2.0], [3.0]], [1.0, 1.0, 2.0], strict=True)
+
+
+def tie_robust_oracle(x, y):
+    """``T_n`` from all-pairs nearest neighbors and counted ``R`` and ``L``."""
+    n = len(y)
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    nn = d2.argmin(axis=1)
+    r = (y[None, :] <= y[:, None]).sum(1)
+    big_l = (y[None, :] >= y[:, None]).sum(1)
+    return ((n * np.minimum(r, r[nn]) - big_l**2).sum()
+            / (big_l * (n - big_l)).sum())
+
+
+class TestTiedResponses:
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60), st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_all_pairs_oracle(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, 2))
+        y = rng.integers(0, levels, n).astype(float)
+        y[:3] = 0.0, 1.0, 0.0  # tied and not constant
+        assert xi_n(x, y).value == pytest.approx(tie_robust_oracle(x, y), abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_tie_free_value_is_the_rank_sum_expression(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x, y = rng.random((n, 3)), rng.permutation(n).astype(float)
+        ranks = compute_ranks(y)
+        s = int(np.minimum(ranks, ranks[_nn_brute(x)]).sum())
+        assert xi_n(x, y).value == 6.0 * s / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_centred_near_zero_under_independence(self, levels):
+        # the tie-free expression averages about 1.75 on binary y
+        rng = np.random.default_rng(40 + levels)
+        values = [xi_n(rng.random((200, 2)), rng.integers(0, levels, 200).astype(float)).value
+                  for _ in range(200)]
+        stderr = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(np.mean(values)) < 3 * stderr  # about 0.02
+
+    def test_step_function_of_x_approaches_one(self):
+        x = np.random.default_rng(44).random((2000, 1))
+        # the tie-free expression gives 1.75 here
+        assert 0.99 < xi_n(x, np.floor(4 * x[:, 0])).value <= 1.0
 
 
 class TestXiInvariances:
