@@ -150,7 +150,7 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
 
 
-def _centred_distances(a: np.ndarray) -> np.ndarray:
+def _centred_distances(a: np.ndarray, name: str) -> np.ndarray:
     """Double-centred Euclidean distance matrix of the rows of ``a``.
 
     The squared distances come from the row-blocked
@@ -159,7 +159,9 @@ def _centred_distances(a: np.ndarray) -> np.ndarray:
     numpy's), so the matrix equals the broadcast
     ``sqrt((diff * diff).sum(-1))`` bit for bit.  The square root and the
     centring ``((D - row means) - column means) + grand mean`` run in place
-    on that one ``(n, n)`` matrix.
+    on that one ``(n, n)`` matrix.  A squared distance that overflows makes
+    the grand mean infinite and raises :class:`InvalidInputError` naming
+    the sample ``name``.
     """
     if a.ndim == 1:
         a = a[:, None]
@@ -167,6 +169,10 @@ def _centred_distances(a: np.ndarray) -> np.ndarray:
     np.sqrt(d, out=d)
     row_mean, col_mean = d.mean(axis=1, keepdims=True), d.mean(axis=0, keepdims=True)
     grand_mean = d.mean()
+    if not math.isfinite(grand_mean):
+        raise InvalidInputError(
+            f"a squared distance between two rows of {name} overflows a float "
+            f"(a distance above about 1.3e154); rescale {name}")
     d -= row_mean
     d -= col_mean
     d += grand_mean
@@ -179,8 +185,8 @@ def _dcor_parts(points: np.ndarray, y: np.ndarray
     cross product ``mean(a * b)``, the distance variances of ``x`` and
     ``y``, and their geometric mean (the normaliser).  The three products
     are formed in one reused ``(n, n)`` buffer."""
-    a = _centred_distances(points)
-    b = _centred_distances(y)
+    a = _centred_distances(points, "x")
+    b = _centred_distances(y, "y")
     product = np.multiply(a, a)
     dvar_x = float(product.mean())
     dvar_y = float(np.multiply(b, b, out=product).mean())

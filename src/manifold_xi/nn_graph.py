@@ -159,7 +159,9 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every exact distance in this module (the all-pairs reference and the
     tree's candidate check) comes from this one function, so
     candidates are compared, and the smallest-index tie rule applied, on
-    identical floating-point values.
+    identical floating-point values.  A square or sum that overflows is
+    ``inf``; the callers hide numpy's warning and refuse an overflow the
+    answer needs.
     """
     d = len(a)
     if d > 128:
@@ -201,9 +203,10 @@ def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
     cols = np.ascontiguousarray(pts.T)
     out = np.empty((n, n))
     block = max(1, _BRUTE_BLOCK_ENTRIES // (n * d))
-    for start in range(0, n, block):
-        rows = cols[:, start:start + block, None]
-        out[start:start + block] = _sqdist(rows, cols[:, None, :])
+    with np.errstate(over="ignore"):
+        for start in range(0, n, block):
+            rows = cols[:, start:start + block, None]
+            out[start:start + block] = _sqdist(rows, cols[:, None, :])
     return out
 
 
@@ -239,6 +242,10 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     At ``k = n`` every row is a candidate, in index order: no query, nothing
     to prove.  Returns the chosen indices and a mask of the rows whose list
     cannot provably contain the exact nearest neighbor.
+
+    A candidate at a distance the tree cannot represent comes back as the
+    missing index ``n`` and is skipped; a row whose nearest squared distance
+    overflows raises :class:`InvalidInputError`.
     """
     n, d = pts.shape
     nn, unsure = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
@@ -247,22 +254,29 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
 
     def one(start: int) -> None:
         blk = slice(start, start + block)
-        if k < n:
-            dist, cand = tree.query(pts[rows[blk]], k=k)
-            other = np.take(cols, cand, axis=1)
-        else:
-            cand, other = np.arange(n), cols[:, None, :]
-        d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
-        d2[cand == rows[blk, None]] = np.inf  # mask self wherever it appears
-        if k == n:  # np.argmin returns the first minimum, i.e. the smallest index
-            nn[blk] = d2.argmin(axis=1)
-            return
-        best = d2.min(axis=1)
-        nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
-        # rows outside the list are at least as far (by the tree's arithmetic)
-        # as the k-th candidate: beating that bound with slack proves the
-        # exact minimum is inside the list
-        unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+        with np.errstate(over="ignore"):
+            if k < n:
+                dist, cand = tree.query(pts[rows[blk]], k=k)
+                other = np.take(cols, cand, axis=1, mode="clip")
+            else:
+                cand, other = np.arange(n), cols[:, None, :]
+            d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
+            # mask self wherever it appears, and neighbors the tree lost (index n)
+            d2[(cand == rows[blk, None]) | (cand == n)] = np.inf
+            if k == n:  # np.argmin returns the first minimum, i.e. the smallest index
+                nn[blk] = d2.argmin(axis=1)
+                best = np.take_along_axis(d2, nn[blk, None], axis=1)
+            else:
+                best = d2.min(axis=1)
+                nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
+                # rows outside the list are at least as far (by the tree's
+                # arithmetic) as the k-th candidate: beating that bound with
+                # slack proves the exact minimum is inside the list
+                unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+        if not np.isfinite(best).all():
+            raise InvalidInputError(
+                "the squared distance from a row to its nearest neighbor "
+                "overflows a float (a distance above about 1.3e154); rescale the points")
 
     parallel_map(one, range(0, len(rows), block), workers)
     return nn, unsure
@@ -353,9 +367,18 @@ def count_motifs(graph: NnGraph) -> MotifCounts:
 
 def _nn_uniform_sample(m: int, n: int, geometry: str, rng) -> np.ndarray:
     """NN index of n uniform points on [0,1)^m under the chosen metric (a
-    k=2 query: the verified :func:`_nn_tree` pass is slower on such points)."""
+    k=2 query: the verified :func:`_nn_tree` pass is slower on such points).
+
+    The tree splits at the midpoint of each cell's spread
+    (``balanced_tree=False``) and keeps the cells' full bounds
+    (``compact_nodes=False``): on uniform points the cells stay balanced
+    anyway, so the medians and shrunken bounds of the default build cost
+    time without making the queries cheaper.  The flags change the tree,
+    not the neighbors it finds.
+    """
     pts = rng.random((n, m))
-    tree = cKDTree(pts, boxsize=1.0) if geometry == "torus" else cKDTree(pts)
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False,
+                   boxsize=1.0 if geometry == "torus" else None)
     rows = tree.indices  # leaf order: consecutive queries walk the same nodes
     _, idx = tree.query(pts[rows], k=2)
     nn = np.empty(n, dtype=np.int64)

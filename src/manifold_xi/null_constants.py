@@ -17,9 +17,15 @@ where ``m`` is the intrinsic (manifold) dimension of the predictors and
   where each center is farther from the other than from the origin.  It has
   a closed form only for ``m = 1`` (exactly 1/2) and is otherwise estimated
   by importance sampling with reported standard error.  The sampler needs
-  no special functions: it takes the distance between the two centers
-  from their radii and the cosine of the angle between them, and the
-  volumes of the two minor caps that make up the lens from an elementary
+  no special functions.  Rotations leave three variables, the radii
+  ``r1``, ``r2`` and the cosine ``c`` between the centers, and everything
+  but the ball volumes ``V_m r^m`` is scale-free: in units of ``r1``, with
+  ``lam = r2 / r1``, the centers are ``g = sqrt(1 + lam (lam - 2c))``
+  apart, ``V_m`` cancels from ``lam = (V_m r2^m / V_m r1^m)^(1/m)``, and
+  the exclusion region ``max(1, lam) < g`` is exactly
+  ``c < min(lam, 1/lam) / 2``.  The lens of the two balls is two minor
+  caps, beyond planes at ``h1 = (1 - lam c) / g`` and ``h2 = (lam - c) / g``
+  radii from the centers, whose volumes come from an elementary
   recurrence, which also gives the caps that ``U_m`` lacks.
 
 The default estimate (``DEFAULT_TRIPLE_SAMPLES`` samples at
@@ -184,6 +190,26 @@ def ball_geometry(m: int) -> BallGeometry:
                         unit_union_volume=float(vm + vm - (cap + cap)))
 
 
+def _log_weights(m: int, mass: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Log importance weights ``mass1 F_m(h1) + mass2 F_m(h2)`` of the
+    admissible pairs among the masses ``mass`` (shape ``(2, k)``) and
+    cosines ``cos``, in the ratio form of :func:`nn_triple_limit_mc`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = mass[1] / mass[0]
+        lam **= 1.0 / m
+        g2 = lam - 2.0 * cos
+        g2 *= lam
+        g2 += 1.0
+        top = np.maximum(lam, 1.0)
+        top *= top
+    keep = np.flatnonzero(top < g2)
+    lam, cos, g = lam[keep], cos[keep], np.sqrt(g2[keep])
+    h = np.stack([1.0 - lam * cos, lam - cos])
+    h /= g
+    caps = _cap_fractions(m, h)
+    return mass[0][keep] * caps[0] + mass[1][keep] * caps[1]
+
+
 def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
                        seed: int = DEFAULT_SEED,
                        threads: int | None = None) -> tuple[float, float]:
@@ -200,16 +226,26 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     a weight that is >= 1 because the union is at most the sum of the two
     ball volumes; pairs outside the region contribute zero.  The exponent
     is the lens volume ``V_m (r1^m F_m(h1) + r2^m F_m(h2))``, two minor caps
-    with plane offsets ``h1 = (r1 - r2 cos) / gap`` and
-    ``h2 = (r2 - r1 cos) / gap``, where ``cos`` is the cosine between the
-    two raw normal direction draws and ``gap^2 = r1^2 + r2^2 - 2 r1 r2 cos``
-    (on the region ``gap > max(r1, r2)``, so neither offset is negative).
-    The cap fraction ``F_m`` comes from the recurrence in
-    ``_cap_fractions``; the points themselves are never formed, and the
-    second direction is drawn ``_MC_CHUNK`` rows at a time.  Sampling is
-    blocked, with one substream per block fanned out by
-    :func:`~manifold_xi.rngs.parallel_map`, so the result is deterministic
-    for a given seed regardless of thread count.
+    with plane offsets ``(r1 - r2 c) / gap`` and ``(r2 - r1 c) / gap``,
+    where ``c`` is the cosine between the two raw normal direction draws
+    and ``gap^2 = r1^2 + r2^2 - 2 r1 r2 c``.
+
+    Only the masses ``mass_i = V_m r_i^m`` carry a scale, so the sampler
+    works in units of ``r1``.  With ``lam = r2 / r1 = (mass2 /
+    mass1)^(1/m)``, in which ``V_m`` cancels, ``gap = r1 g`` with
+    ``g^2 = 1 + lam (lam - 2c)``.  The region ``max(1, lam)^2 < g^2``
+    reads ``c < lam / 2`` for ``lam <= 1`` and ``c < 1 / (2 lam)`` for
+    ``lam >= 1``, so it is exactly ``c < min(lam, 1/lam) / 2``; a zero
+    radius (``lam`` zero, infinite or undefined) lies outside it.  The
+    offsets become ``h1 = (1 - lam c) / g`` and ``h2 = (lam - c) / g``,
+    both positive on the region, so the lens is two minor caps, and the
+    log weight is ``mass1 F_m(h1) + mass2 F_m(h2)``.  The cap fraction
+    ``F_m`` comes from the recurrence in ``_cap_fractions``; the points
+    themselves are never formed, and the second direction is drawn
+    ``_MC_CHUNK`` rows at a time, each chunk adding to running sums of
+    ``w`` and ``w^2``.  Sampling is blocked, with one substream per block
+    fanned out by :func:`~manifold_xi.rngs.parallel_map`, so the result is
+    deterministic for a given seed regardless of thread count.
 
     Returns
     -------
@@ -217,39 +253,32 @@ def nn_triple_limit_mc(m: int, samples: int = DEFAULT_TRIPLE_SAMPLES,
     """
     check_int("m", m, 1)
     check_int("samples", samples, MIN_TRIPLE_SAMPLES)
-    vm = ball_volume(m)
+    ball_volume(m)  # refuses m >= 342 before any draw
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
 
     def run_block(block: int) -> tuple[float, float, int]:
         size = min(_MC_BLOCK, samples - block * _MC_BLOCK)
         rng = substream(seed, block)
         mass = rng.exponential(size=(2, size))  # V_m r^m ~ Exp(1)
-        radius = (mass / vm) ** (1.0 / m)
         g0 = rng.standard_normal((size, m))
         # The second direction is drawn in chunks into one buffer: the same
         # stream as a single (size, m) draw, at a fraction of the scratch.
         buf = np.empty((min(size, _MC_CHUNK), m))
-        log_w = []
+        total = square = 0.0
+        least = math.inf
         for lo in range(0, size, _MC_CHUNK):
             hi = min(lo + _MC_CHUNK, size)
             a, b = g0[lo:hi], rng.standard_normal(out=buf[:hi - lo])
             cos = np.einsum("jk,jk->j", a, b)
             cos /= np.sqrt(np.einsum("jk,jk->j", a, a) * np.einsum("jk,jk->j", b, b))
-            rad = radius[:, lo:hi]
-            r1, r2 = rad
-            gap = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos
-            np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
-            admissible = np.maximum(r1, r2) < gap
-            rad, cos, gap = rad[:, admissible], cos[admissible], gap[admissible]
-            # gap > max(r1, r2) makes both plane offsets (r1 - r2 cos) / gap
-            # and (r2 - r1 cos) / gap non-negative: the lens is two minor caps.
-            caps = _cap_fractions(m, (rad - rad[::-1] * cos) / gap)
-            log_w.append((mass[:, lo:hi][:, admissible] * caps).sum(axis=0))
-        log_w = np.concatenate(log_w)
-        if log_w.size and log_w.min() < -1e-9:
+            log_w = _log_weights(m, mass[:, lo:hi], cos)
+            least = min(least, log_w.min(initial=math.inf))
+            w = np.exp(log_w, out=log_w)
+            total += w.sum()
+            square += w @ w
+        if least < -1e-9:
             raise AssertionError("importance weight below 1 on the exclusion region")
-        weights = np.exp(log_w)
-        return weights.sum(), weights @ weights, size
+        return total, square, size
 
     sums, sq_sums, counts = np.array(parallel_map(run_block, range(n_blocks), threads)).T
     total = counts.sum()

@@ -51,6 +51,8 @@ def compute_ranks(y) -> np.ndarray:
     This is the one check of a response: it must be 1-D, hold at least two
     values and be finite.  Tied responses share their largest rank, so
     ``np.bincount(ranks)[ranks]`` is the size of each response's tie group.
+    The ranks are found on the sorted values, where each binary search
+    starts near the last, and scattered back through one ``argsort``.
 
     >>> compute_ranks([10.0, -3.0, 5.5]).tolist()
     [3, 1, 2]
@@ -61,7 +63,11 @@ def compute_ranks(y) -> np.ndarray:
     check_int("number of responses", y.shape[0], 2)
     if not np.isfinite(y).all():
         raise InvalidInputError("response contains non-finite values")
-    return np.searchsorted(np.sort(y), y, side="right").astype(np.int64)
+    order = np.argsort(y)
+    ordered = y[order]
+    ranks = np.empty(y.shape[0], dtype=np.int64)
+    ranks[order] = np.searchsorted(ordered, ordered, side="right")
+    return ranks
 
 
 def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray, np.ndarray]:

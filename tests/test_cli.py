@@ -140,6 +140,21 @@ def test_xi_undecodable_file_is_one_error_line(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: {path.as_posix()}: not UTF-8 text"]
 
 
+def test_xi_overflowing_distances_are_one_error_line(tmp_path, capsys):
+    # the kd-tree loses neighbors whose squared distance overflows; this
+    # used to end in an IndexError traceback
+    rng = np.random.default_rng(24)
+    x = rng.random((120, 2)) * 1e160
+    path = tmp_path / "huge.csv"
+    path.write_text("y,x1,x2\n" + "".join(
+        f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(x.tolist())))
+    assert cli_dispatch(["xi", "--input", path.as_posix()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the squared distance")
+
+
 def test_test_tied_response_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "binary.csv"
     path.write_text("y,x1\n" + "".join(f"{i % 2}.0,{(7 * i) % 10}.5\n" for i in range(10)))

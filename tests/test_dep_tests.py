@@ -26,8 +26,8 @@ EXACT_1D = null_variance(1, source="closed_form")
 def dcor_permutation_by_gather(x, y, B, seed):
     """Reference dcor permutation test: gather the relabelled centred ``y``
     matrix for every permutation.  Returns ``(statistic, p_value)``."""
-    a = _centred_distances(np.asarray(x, dtype=float))
-    b = _centred_distances(np.asarray(y, dtype=float))
+    a = _centred_distances(np.asarray(x, dtype=float), "x")
+    b = _centred_distances(np.asarray(y, dtype=float), "y")
     norm = math.sqrt(float((a * a).mean()) * float((b * b).mean()))
     observed = float((a * b).mean())
     rng = substream(seed)
@@ -331,7 +331,7 @@ class TestDistanceCorrelation:
                      - dist.mean(axis=0, keepdims=True) + dist.mean())
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
         one_block = dcor_stats(x, y)
-        assert np.array_equal(_centred_distances(x), reference)
+        assert np.array_equal(_centred_distances(x, "x"), reference)
         bound = 7 * n * d
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", bound)
         tracemalloc.start()
@@ -341,7 +341,7 @@ class TestDistanceCorrelation:
         finally:
             tracemalloc.stop()
         assert blocked == one_block
-        assert np.array_equal(_centred_distances(x), reference)
+        assert np.array_equal(_centred_distances(x, "x"), reference)
         # two (rows, n, d) block temporaries live at once, plus at most six
         # (n, n) matrices: distances, a, b and the products dcor_stats
         # averages.  The all-at-once difference alone is n * n * d entries.
@@ -429,8 +429,8 @@ class TestDcorPermutation:
     def test_slack_bounds_the_gather_free_value(self, kind):
         n = 30
         x, y = dcor_case(kind, n, np.random.default_rng(7))
-        a = _centred_distances(x)
-        b = _centred_distances(y)
+        a = _centred_distances(x, "x")
+        b = _centred_distances(y, "y")
         slack = dep_tests._dcor_slack(a, y)
         rng = substream(7)
         for perm in [np.arange(n)] + [rng.permutation(n) for _ in range(50)]:
@@ -498,6 +498,40 @@ class TestDcorPermutation:
             rejections += dcor_test_permutation(x, y, B=39, seed=rep).reject
         rate = rejections / reps
         assert abs(rate - 0.05) < 0.035  # 3 binomial sigmas at 400 reps
+
+
+class TestOverflowingDistances:
+    @pytest.fixture
+    def sample(self):
+        rng = np.random.default_rng(23)
+        x = rng.random((120, 2))
+        return x, x.sum(axis=1) + 0.1 * rng.random(120)
+
+    @pytest.mark.parametrize("call", [
+        lambda x, y: xi_n(x * 1e160, y),
+        lambda x, y: xi_test_asymptotic(x * 1e160, y, 2),
+        lambda x, y: xi_test_permutation(x * 1e160, y),
+        lambda x, y: dcor_test_permutation(x * 1e160, y),
+        lambda x, y: dcor_test_permutation(x, y * 1e160),
+        lambda x, y: dcor_stats(x * 1e160, y),
+        lambda x, y: dcor_stats(x, y * 1e160),
+    ], ids=["xi_n", "xi_asymptotic", "xi_permutation", "dcor_perm_x",
+            "dcor_perm_y", "dcor_stats_x", "dcor_stats_y"])
+    def test_every_entry_point_refuses(self, sample, call):
+        # the graph used to crash with an IndexError, dcor to report NaN
+        with pytest.raises(InvalidInputError, match="overflows a float"):
+            call(*sample)
+
+    def test_dcor_names_the_overflowing_sample(self, sample):
+        x, y = sample
+        with pytest.raises(InvalidInputError, match="rows of y overflows"):
+            dcor_test_permutation(x, y * 1e160)
+
+    def test_results_below_the_overflow_are_unchanged(self, sample):
+        x, y = sample
+        big = x * 2.0**500  # squared distances stay below 2**1024
+        assert xi_n(big, y) == xi_n(x, y)
+        assert dcor_test_permutation(big, y).p_value == dcor_test_permutation(x, y).p_value
 
 
 class TestAsymptoticPermutationAgreement:

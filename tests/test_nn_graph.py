@@ -24,6 +24,7 @@ from manifold_xi import (
 from manifold_xi import nn_graph
 from manifold_xi.manifold_gen import CASES
 from manifold_xi.nn_graph import _nn_brute, _nn_tree
+from manifold_xi.rngs import substream
 
 
 def _torus_sqdist(a, b):
@@ -505,6 +506,28 @@ class TestMaxInDegreeBounded:
             assert max(maxima) <= {1: 2, 2: 6, 3: 12}[d]
 
 
+class TestOverflowingDistances:
+    def test_nearest_distance_overflow_is_refused(self):
+        x = np.random.default_rng(20).random((120, 2)) * 1e160
+        with pytest.raises(InvalidInputError, match="nearest neighbor overflows"):
+            build_nn_graph(x)
+
+    def test_overflow_beyond_the_nearest_neighbor_is_skipped(self):
+        # pairs of rows 1e160 apart: every row's nearest is close, but the
+        # tree's third candidate is out of reach and comes back as index n
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 3):
+            pairs = [centre + rng.random((2, d)) * 1e150
+                     for centre in (0.0, 1e160, -1e160, 3e160)]
+            x = np.concatenate(pairs)[rng.permutation(8)]
+            np.testing.assert_array_equal(build_nn_graph(x).nn_index, _nn_brute(x))
+
+    def test_large_finite_distances_keep_their_graph(self):
+        x = np.random.default_rng(22).random((200, 3))
+        scaled = build_nn_graph(x * 2.0**500).nn_index  # squares stay below 2**1024
+        np.testing.assert_array_equal(scaled, build_nn_graph(x).nn_index)
+
+
 class TestTorusMetric:
     def test_wraparound_distance(self):
         a = np.array([0.05, 0.5])
@@ -520,6 +543,21 @@ class TestTorusMetric:
             d2 = _torus_sqdist(pts[:, None, :], pts[None, :, :])
             d2[np.arange(60), np.arange(60)] = np.inf
             assert (idx[:, 1] == d2.argmin(axis=1)).all()
+
+    @pytest.mark.parametrize("geometry", ["torus", "cube"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_uniform_sample_matches_brute(self, m, geometry):
+        # the sampler's own tree (its build flags included) against argmin
+        # over wrap-around or plain distances on the same draws
+        for seed in range(5):
+            nn = nn_graph._nn_uniform_sample(m, 300, geometry, substream(seed, 4))
+            pts = substream(seed, 4).random((300, m))
+            if geometry == "torus":
+                d2 = _torus_sqdist(pts[:, None, :], pts[None, :, :])
+            else:
+                d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+            np.fill_diagonal(d2, np.inf)
+            np.testing.assert_array_equal(nn, d2.argmin(axis=1))
 
 
 class TestEmpiricalConstants:

@@ -202,6 +202,60 @@ class TestTripleLimit:
         np.testing.assert_array_equal(first, whole[0])
         np.testing.assert_array_equal(np.concatenate(chunks), whole[1])
 
+    # nn_triple_limit_mc(m, samples) at DEFAULT_SEED, recorded from the
+    # sampler that formed both radii and the gap in absolute units: a full
+    # chunk count, a partial last chunk, and a one-row second block
+    RECORDED = {
+        (1, 10**5): (0.50078, 0.0015811448118971147),
+        (1, 10**5 + 12345): (0.5014197338555343, 0.001491740607782767),
+        (1, 2**19 + 1): (0.5008287414002582, 0.0006905330174673817),
+        (2, 10**5): (0.6339498074605407, 0.001690905719610173),
+        (2, 10**5 + 12345): (0.634535486852794, 0.0015983392400639182),
+        (2, 2**19 + 1): (0.6330191123059088, 0.0007398795071461904),
+        (3, 10**5): (0.710583913429076, 0.001603121442364037),
+        (3, 10**5 + 12345): (0.709272581845795, 0.001513010488034148),
+        (3, 2**19 + 1): (0.709153976815503, 0.0007012722755599472),
+        (7, 10**5): (0.8654211589509575, 0.0011675875173070241),
+        (7, 10**5 + 12345): (0.862807077441529, 0.0011091870397907538),
+        (7, 2**19 + 1): (0.8623749134154064, 0.0005139945992336268),
+        (50, 10**5): (0.9998702166585112, 3.605335800832135e-05),
+        (50, 10**5 + 12345): (0.9998221827821762, 3.980380740292962e-05),
+        (50, 2**19 + 1): (0.9998666896813956, 1.5956946509458397e-05),
+    }
+
+    @pytest.mark.parametrize("m, samples", sorted(RECORDED), ids=str)
+    def test_matches_recorded_outputs(self, m, samples):
+        est, se = nn_triple_limit_mc(m, samples=samples, seed=null_constants.DEFAULT_SEED)
+        ref_est, ref_se = self.RECORDED[m, samples]
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        # The stderr is compared through the mean of w**2 the sampler sums.
+        # At m=50 the variance cancels (mean(w**2) / var is about 7.5e3), so
+        # the recorded stderr itself is off by about 4e-12 from exact
+        # arithmetic on its own weights; mean(w**2) is not.
+        def second_moment(est, se):
+            return se * se * (samples - 1) + est * est
+        assert second_moment(est, se) == pytest.approx(second_moment(ref_est, ref_se),
+                                                       rel=1e-12)
+
+    def test_zero_radius_is_outside_the_region(self):
+        # lam = 0, inf and 0/0 at the most favourable cosine, beside a pair
+        # that is admitted
+        mass = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+        cos = np.full(4, -1.0)
+        for m in (1, 2, 3, 10):
+            log_w = null_constants._log_weights(m, mass, cos)
+            assert log_w.shape == (1,)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 50])
+    def test_every_admitted_weight_is_at_least_one(self, m):
+        rng = np.random.default_rng(m)
+        mass = rng.exponential(size=(2, 20_000))
+        g = rng.standard_normal((2, 20_000, m))
+        cos = (g[0] * g[1]).sum(-1) / np.sqrt((g[0] ** 2).sum(-1) * (g[1] ** 2).sum(-1))
+        log_w = null_constants._log_weights(m, mass, cos)
+        assert log_w.size > 0
+        assert log_w.min() >= -1e-12
+
     def test_sample_floor_enforced(self):
         with pytest.raises(InvalidInputError):
             nn_triple_limit_mc(2, samples=10**4)
