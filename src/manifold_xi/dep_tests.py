@@ -72,6 +72,24 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _stop_count(alpha: float, B: int, stop: bool) -> int:
+    """The exceedance count at which a permutation test may stop drawing.
+
+    With ``stop``, it is the smallest ``k`` whose p-value ``(1 + k) / (B + 1)``
+    exceeds ``alpha`` in that same float arithmetic: once ``k`` permutations
+    reach the observed statistic, the test cannot reject whatever the rest
+    give, and ``(1 + k) / (B + 1)`` is a lower bound on the full p-value.
+    It is 0, so nothing is drawn, when ``alpha < 1 / (B + 1)``.  Without
+    ``stop`` it is ``B + 1``, which no count reaches.
+    """
+    if not stop:
+        return B + 1
+    k = max(0, math.floor(alpha * (B + 1.0)) - 2)  # at most the answer
+    while (1.0 + k) / (B + 1.0) <= alpha:
+        k += 1
+    return k
+
+
 def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
                        constants: NullConstants | None = None,
                        tail: str = "right") -> TestResult:
@@ -120,7 +138,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
 
 
 def xi_test_permutation(x, y, alpha: float = 0.05,
-                        B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
+                        B: int = DEFAULT_PERMUTATIONS, seed=0, *,
+                        _stop_at_decision: bool = False) -> TestResult:
     """Permutation test on the coefficient, graph built once.
 
     The NN graph depends only on ``x``, so each of the ``B`` permutations
@@ -132,6 +151,12 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     responses the statistic is ``T_n`` (see :mod:`manifold_xi.rank_xi`),
     which is increasing in the rank sum, so the p-value is the same.  A
     constant response raises :class:`DegenerateInputError`.
+
+    Every call draws all ``B`` permutations and returns the exact p-value.
+    Only the simulation harness, which reads nothing but ``reject``, asks
+    (through a private argument) to stop once the decision not to reject is
+    fixed; it then gets ``reject=False`` and a lower bound above ``alpha``
+    as the p-value, so its rejection counts are the full-``B`` ones.
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
@@ -140,8 +165,11 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     sizes = _tie_sizes(ranks)
     nn = build_nn_graph(cloud).nn_index
     observed, value = _xi_from_ranks(ranks, sizes, nn)
+    stop = _stop_count(alpha, B, _stop_at_decision)
     exceed, shuffled = 0, np.empty_like(ranks)
     for _ in range(B):
+        if exceed >= stop:
+            break
         np.copyto(shuffled, ranks)
         rng.shuffle(shuffled)
         exceed += int(np.minimum(shuffled, shuffled[nn]).sum()) >= observed
@@ -252,7 +280,8 @@ def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
 
 
 def dcor_test_permutation(x, y, alpha: float = 0.05,
-                          B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
+                          B: int = DEFAULT_PERMUTATIONS, seed=0, *,
+                          _stop_at_decision: bool = False) -> TestResult:
     """Permutation test on the squared distance correlation.
 
     The centred distance matrix ``a`` of ``x`` is computed once; permuting
@@ -271,9 +300,16 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     :func:`_dcor_slack`); any permutation inside the bound is re-decided
     with the exact cross product, so the p-value is the one the direct
     loop gives.  Permutations are the ``B`` successive
-    ``substream(seed).permutation(n)`` draws, drawn in one call, and the
-    fast values are filled in blocks of at most ``_DCOR_BLOCK_ENTRIES``
-    scratch entries.
+    ``substream(seed).permutation(n)`` draws, drawn block by block with
+    ``rng.permuted`` (the same stream as one ``(B, n)`` call), and each block
+    of fast values fills at most ``_DCOR_BLOCK_ENTRIES`` scratch entries.
+
+    Every call draws all ``B`` permutations and returns the exact p-value.
+    Only the simulation harness, which reads nothing but ``reject``, asks
+    (through a private argument) to stop after the first block at which the
+    decision not to reject is fixed; it then gets ``reject=False`` and a
+    lower bound above ``alpha`` as the p-value, so its rejection counts are
+    the full-``B`` ones.
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
@@ -286,9 +322,9 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
     slack = _dcor_slack(a, y)  # before the permutation scratch exists
-    perms = rng.permuted(np.tile(np.arange(n), (B, 1)), axis=1)
-    fast = np.empty(B)
+    stop = _stop_count(alpha, B, _stop_at_decision)
     block = max(1, min(B, _DCOR_BLOCK_ENTRIES // (n * n)))
+    identities = np.tile(np.arange(n), (block, 1))
     # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
     # are exact, so each entry is the rounded z_i - z_j, and BLAS fills it
     # several times faster than a broadcast subtraction.
@@ -296,19 +332,22 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     rhs = np.ones((block, 2, n))
     scratch = np.empty((block, n, n))
     a_flat = a.ravel()
+    exceed = 0
     for start in range(0, B, block):
-        z = y[perms[start:start + block]]
+        if exceed >= stop:
+            break
+        perms = rng.permuted(identities[:B - start], axis=1)
+        z = y[perms]
         m = len(z)
         lhs[:m, :, 0] = z
         np.negative(z, out=rhs[:m, 1])
         dist = np.matmul(lhs[:m], rhs[:m], out=scratch[:m])
         np.abs(dist, out=dist)
-        fast[start:start + m] = dist.reshape(m, -1) @ a_flat
-    gap = fast - n * n * observed
-    above = gap > slack
-    exceed = int(above.sum())
-    for i in np.flatnonzero(~(above | (gap < -slack))):
-        exceed += _permuted_cross(a, b, perms[i]) >= observed
+        gap = dist.reshape(m, -1) @ a_flat - n * n * observed
+        above = gap > slack
+        exceed += int(above.sum())
+        for i in np.flatnonzero(~(above | (gap < -slack))):
+            exceed += _permuted_cross(a, b, perms[i]) >= observed
     p = (1.0 + exceed) / (B + 1.0)
     stat = min(max(observed, 0.0) / norm, 1.0)
     return TestResult(method="dcor_permutation", statistic=stat, p_value=p,
@@ -317,14 +356,17 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
 
 def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
              tail: str = "right", B: int = DEFAULT_PERMUTATIONS,
-             seed=0) -> TestResult:
+             seed=0, *, _stop_at_decision: bool = False) -> TestResult:
     """Run the independence test named ``method`` (one of :data:`METHODS`).
 
     ``m`` and ``tail`` go to the asymptotic test, which requires ``m`` and
     uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
     to the permutation tests.  Every argument is checked for every method
     (``m`` may be ``None``), so a bad value is refused even where the
-    method ignores it.
+    method ignores it.  The permutation tests draw all ``B`` permutations;
+    the private ``_stop_at_decision`` is the simulation harness's request to
+    stop each one once its decision is fixed (see the two tests), forwarded
+    unchanged.
     """
     check_choice("method", method, METHODS)
     if m is not None:
@@ -337,8 +379,10 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
             raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
         return xi_test_asymptotic(x, y, m, alpha, tail=tail)
     if method == "xi_permutation":
-        return xi_test_permutation(x, y, alpha, B=B, seed=seed)
-    return dcor_test_permutation(x, y, alpha, B=B, seed=seed)
+        return xi_test_permutation(x, y, alpha, B=B, seed=seed,
+                                   _stop_at_decision=_stop_at_decision)
+    return dcor_test_permutation(x, y, alpha, B=B, seed=seed,
+                                 _stop_at_decision=_stop_at_decision)
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

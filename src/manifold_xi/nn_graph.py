@@ -306,10 +306,11 @@ def _nn_distinct(pts: np.ndarray) -> np.ndarray:
 def _nn_tree(pts: np.ndarray) -> np.ndarray:
     """Exact kd-tree nearest neighbors, identical to :func:`_nn_brute`.
 
-    The kernel runs on the rows that are their own smallest equal index.
-    Equal rows lie at equal distances from every row, so the rows at zero
-    distance from a copy are its group and, when the group's kernel
-    neighbor is at zero, that neighbor and rows of larger index.
+    The kernel runs on the rows that are their own smallest equal index,
+    gathered only when some row is a copy; a distinct cloud is passed
+    as is.  Equal rows lie at equal distances from every row, so the rows
+    at zero distance from a copy are its group and, when the group's
+    kernel neighbor is at zero, that neighbor and rows of larger index.
     """
     n = len(pts)
     rep = _smallest_equal_index(pts)
@@ -317,7 +318,7 @@ def _nn_tree(pts: np.ndarray) -> np.ndarray:
     keep, copy = np.flatnonzero(own), np.flatnonzero(~own)
     nn = rep.copy()
     if len(keep) > 1:  # a neighbor's index is already its group's smallest
-        nn[keep] = keep[_nn_distinct(pts[keep])]
+        nn[keep] = keep[_nn_distinct(pts[keep] if len(copy) else pts)]
     if len(copy):
         owner, first_copy = np.unique(rep[copy], return_index=True)
         near = nn[owner]  # the owner itself when it is the only distinct row

@@ -77,6 +77,7 @@ class ExperimentConfig:
         _check_alpha(self.alpha)
         check_int("B", self.B, MIN_PERMUTATIONS)
         check_int("master_seed", self.master_seed, 0)
+        worker_count(self.threads)  # None, or an integer >= 1
         check_choice("xi_tail", self.xi_tail, TAILS)
 
 
@@ -152,9 +153,12 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
                             r_seed=config.master_seed)
         data = generate(spec)
         for k, method in enumerate(config.methods):
+            # Only reject is read, so each permutation test may stop drawing
+            # once it cannot reject: the counts are the full-B ones.
             res = run_test(method, data.x, data.y, config.alpha, m=m,
                            tail=config.xi_tail, B=config.B,
-                           seed=(config.master_seed, cell_index, rep, 1 + k))
+                           seed=(config.master_seed, cell_index, rep, 1 + k),
+                           _stop_at_decision=True)
             counts[method] += res.reject
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     records = []
@@ -175,8 +179,13 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     thread count.  Infeasible gaussian cells are recorded as skipped (see
     :class:`PowerRecord`) and the run continues.  ``log``, if given, gets
     a progress line per computed (cell, method), none for skipped cells.
+
+    A record needs only each test's ``reject``, so each permutation test
+    stops drawing once it can no longer reject at ``config.alpha``.  The
+    rejection counts, and so the CSV, are those of tests that draw all
+    ``config.B`` permutations, as every call outside the harness does.
     """
-    workers = worker_count(config.threads)  # refuse a bad value before any work
+    workers = worker_count(config.threads)
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
     if "xi_asymptotic" in config.methods:

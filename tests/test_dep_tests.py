@@ -459,11 +459,19 @@ class TestDcorPermutation:
 
     @pytest.mark.parametrize("n", [2, 100, 10**5])
     def test_batched_draws_match_successive_permutations(self, n):
-        # The kernel draws all B permutations in one call; if numpy ever
-        # changes this, every dcor p-value moves.
-        batched = substream(11).permuted(np.tile(np.arange(n), (3, 1)), axis=1)
+        # The kernel draws its B permutations block by block; if numpy ever
+        # makes one (B, n) call, successive blocks or successive
+        # permutation(n) draws differ, every dcor p-value moves.
+        B = 199
+        batched = substream(11).permuted(np.tile(np.arange(n), (B, 1)), axis=1)
         rng = substream(11)
-        assert np.array_equal(batched, [rng.permutation(n) for _ in range(3)])
+        assert all(np.array_equal(row, rng.permutation(n)) for row in batched)
+        for block in (13, 7):  # neither divides B
+            tile = np.tile(np.arange(n), (block, 1))
+            rng = substream(11)
+            assert all(np.array_equal(batched[start:start + block],
+                                      rng.permuted(tile[:B - start], axis=1))
+                       for start in range(0, B, block))
 
     @pytest.mark.parametrize("n", [2, 100, 10**5])
     def test_permuted_ranks_match_gathered_permutations(self, n):
@@ -498,6 +506,115 @@ class TestDcorPermutation:
             rejections += dcor_test_permutation(x, y, B=39, seed=rep).reject
         rate = rejections / reps
         assert abs(rate - 0.05) < 0.035  # 3 binomial sigmas at 400 reps
+
+
+class CountingStream:
+    """A generator that counts the permutations drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def permuted(self, x, axis):
+        self.drawn += len(x)
+        return self.rng.permuted(x, axis=axis)
+
+    def shuffle(self, x):
+        self.drawn += 1
+        self.rng.shuffle(x)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The streams the permutation tests draw from, in call order."""
+    streams = []
+
+    def counting(seed):
+        streams.append(CountingStream(substream(seed)))
+        return streams[-1]
+
+    monkeypatch.setattr(dep_tests, "substream", counting)
+    return streams
+
+
+ALPHAS = (0.001, 0.01, 0.05, 0.5)
+
+
+class TestStopAtDecision:
+    """The harness's stopped tests decide exactly as the full-B tests do."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("B", [19, 199])
+    def test_stop_count_is_the_first_count_above_alpha(self, alpha, B):
+        k = dep_tests._stop_count(alpha, B, True)
+        assert (1.0 + k) / (B + 1.0) > alpha
+        assert k == 0 or k / (B + 1.0) <= alpha
+        assert dep_tests._stop_count(alpha, B, False) == B + 1
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
+    @pytest.mark.parametrize("B", [19, 199])
+    @pytest.mark.parametrize("n", [4, 5, 30, 100])
+    def test_dcor_decision_equals_the_gather_loop(self, n, B, kind):
+        x, y = dcor_case(kind, n, np.random.default_rng(n))
+        stat, p_full = dcor_permutation_by_gather(x, y, B, n + B)
+        for alpha in ALPHAS:
+            res = dcor_test_permutation(x, y, alpha, B=B, seed=n + B,
+                                        _stop_at_decision=True)
+            assert res.statistic == stat and res.B == B
+            assert res.reject == (p_full <= alpha)
+            if res.p_value != p_full:  # stopped: a lower bound above alpha
+                assert alpha < res.p_value < p_full and not res.reject
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
+    @pytest.mark.parametrize("B", [19, 199])
+    @pytest.mark.parametrize("n", [4, 5, 30, 100])
+    def test_xi_decision_equals_the_public_test(self, n, B, kind):
+        x, y = dcor_case(kind, n, np.random.default_rng(n))
+        for alpha in ALPHAS:
+            full = xi_test_permutation(x, y, alpha, B=B, seed=n + B)
+            res = xi_test_permutation(x, y, alpha, B=B, seed=n + B,
+                                      _stop_at_decision=True)
+            assert res.statistic == full.statistic and res.B == B
+            assert res.reject == full.reject
+            if res.p_value != full.p_value:
+                assert alpha < res.p_value < full.p_value and not res.reject
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_constant_response_is_decided_as_before(self, stop):
+        x = np.random.default_rng(3).random((30, 2))
+        y = np.full(30, 2.5)
+        res = dcor_test_permutation(x, y, 0.05, B=199, _stop_at_decision=stop)
+        assert (res.p_value, res.reject) == (1.0, False)
+        with pytest.raises(DegenerateInputError):
+            xi_test_permutation(x, y, 0.05, B=199, _stop_at_decision=stop)
+
+    @pytest.mark.parametrize("test", [dcor_test_permutation, xi_test_permutation])
+    def test_null_stops_early_and_dependence_draws_all(self, test, draws):
+        rng = np.random.default_rng(5)
+        x = rng.random((100, 2))
+        null = test(x, rng.random(100), 0.05, B=199, _stop_at_decision=True)
+        strong = test(x, x[:, 0] + 0.01 * rng.random(100), 0.05, B=199,
+                      _stop_at_decision=True)
+        assert not null.reject and strong.reject
+        block = dep_tests._DCOR_BLOCK_ENTRIES // 100**2  # 13 rows at n = 100
+        assert draws[0].drawn <= 199 - 199 % block  # never reached the last block
+        assert draws[1].drawn == 199
+
+    @pytest.mark.parametrize("method", ["xi_permutation", "dcor_permutation"])
+    def test_level_below_one_over_b_plus_one_draws_nothing(self, method, draws):
+        rng = np.random.default_rng(6)
+        x = rng.random((30, 2))
+        y = x[:, 0] + 0.01 * rng.random(30)  # the full test's p is 1/200
+        res = run_test(method, x, y, 0.001, B=199, _stop_at_decision=True)
+        assert draws[0].drawn == 0
+        assert (res.p_value, res.reject) == (1.0 / 200.0, False)
+
+    @pytest.mark.parametrize("method", ["xi_permutation", "dcor_permutation"])
+    def test_every_public_call_draws_all_b(self, method, draws):
+        rng = np.random.default_rng(8)
+        x, y = rng.random((30, 2)), rng.random(30)  # a null sample
+        for alpha in ALPHAS:
+            run_test(method, x, y, alpha, B=199)
+        assert [stream.drawn for stream in draws] == [199] * len(ALPHAS)
 
 
 class TestOverflowingDistances:

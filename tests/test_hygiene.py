@@ -3,19 +3,21 @@
 ``ValueError`` or ``TypeError`` (bad arguments raise ``InvalidInputError``),
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
-environment, files are read as ``utf-8-sig``, the public name list is
+environment, only the simulation harness asks a permutation test to stop
+at its decision, files are read as ``utf-8-sig``, the public name list is
 exact, and every public function and class has a docstring of its own."""
 
 import ast
 import collections
 import inspect
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
 import manifold_xi
+from manifold_xi import dep_tests, simulate
 
 PACKAGE = Path(manifold_xi.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -168,6 +170,63 @@ def test_the_checker_finds_environment_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+STOP_ARGUMENT = "_stop_at_decision"
+
+
+def stop_argument_passes(source: str) -> list[str]:
+    """Calls passing the permutation tests' private stop argument, by line:
+    ``forward`` when the value is the caller's own parameter of that name,
+    ``set`` for any other value; the name written as a string (say in a
+    ``**{...}`` or a ``getattr``) is ``string``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg == STOP_ARGUMENT:
+                    forward = getattr(kw.value, "id", None) == STOP_ARGUMENT
+                    found.append(f"{'forward' if forward else 'set'} (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and node.value == STOP_ARGUMENT:
+            found.append(f"string (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_stop_argument_passes():
+    source = ("run_test(m, x, y, _stop_at_decision=True)\n"
+              "test(x, y, _stop_at_decision=_stop_at_decision)\n"
+              "test(x, y, _stop_at_decision=stop)\n"
+              "test(x, y, **{'_stop_at_decision': True})\n"
+              "test(x, y, stop=True)\n"
+              "def f(x, *, _stop_at_decision=False): pass\n")
+    assert stop_argument_passes(source) == ["set (line 1)", "forward (line 2)",
+                                            "set (line 3)", "string (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_harness_asks_a_test_to_stop(path):
+    # The harness reads only reject, so it alone may stop a permutation test
+    # at its decision; dep_tests forwards the request and sets it nowhere.
+    allowed = {"simulate.py": {"set"}, "dep_tests.py": {"forward"}}.get(path.name, set())
+    kinds = {entry.split()[0] for entry in
+             stop_argument_passes(path.read_text(encoding="utf-8"))}
+    assert kinds <= allowed
+    if allowed:
+        assert kinds == allowed
+
+
+def test_the_stop_argument_stays_private():
+    # Every public call, config field and documented option draws all B.
+    readme = Path(__file__).parents[1] / "README.md"
+    assert STOP_ARGUMENT not in readme.read_text(encoding="utf-8")
+    assert [f.name for f in fields(simulate.ExperimentConfig) if "stop" in f.name] == []
+    public = [getattr(manifold_xi, name) for name in manifold_xi.__all__] + [dep_tests.run_test]
+    takers = {obj.__name__: (param.kind, param.default) for obj in public
+              if inspect.isfunction(obj)
+              for param in [inspect.signature(obj).parameters.get(STOP_ARGUMENT)]
+              if param is not None}
+    assert takers == dict.fromkeys(["xi_test_permutation", "dcor_test_permutation", "run_test"],
+                                   (inspect.Parameter.KEYWORD_ONLY, False))
 
 
 def bom_blind_reads(source: str) -> list[str]:

@@ -390,6 +390,22 @@ class TestTreeBruteEquivalence:
         _nn_tree(pts)
         assert sum(rows * cands for rows, cands, _ in sqdist_blocks) <= 64 * len(pts)
 
+    def test_distinct_cloud_reaches_the_kernel_uncopied(self, monkeypatch):
+        # a copy of a distinct cloud costs 24 MB at 1e6 x 3 and changes nothing
+        received, kernel = [], nn_graph._nn_distinct
+
+        def spy(pts):
+            received.append(pts)
+            return kernel(pts)
+
+        monkeypatch.setattr(nn_graph, "_nn_distinct", spy)
+        pts = np.random.default_rng(15).random((500, 3))
+        assert (_nn_tree(pts) == _nn_brute(pts)).all()
+        assert received[0] is pts
+        with_copy = np.vstack([pts, pts[:3]])
+        assert (_nn_tree(with_copy) == _nn_brute(with_copy)).all()
+        assert received[1].shape == pts.shape and received[1] is not with_copy
+
     @given(st.lists(st.integers(-8, 8), min_size=2, max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_integer_lines_property(self, xs):

@@ -18,10 +18,10 @@ from manifold_xi import (
     run_experiment,
     xi_test_asymptotic,
 )
-from manifold_xi import null_constants, simulate
+from manifold_xi import dep_tests, null_constants, simulate
 from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
-from manifold_xi.rngs import parallel_map, substream
+from manifold_xi.rngs import parallel_map, substream, worker_count
 from manifold_xi.simulate import CSV_HEADER, config_from_dict
 
 
@@ -49,6 +49,30 @@ class TestConfig:
                                 "m_grid": [1], "rho_grid": [0.0],
                                 "threads": "auto"})
         assert cfg.threads is None
+
+    @pytest.mark.parametrize("threads", [0, -3, "two", 1.5, True],
+                             ids=["zero", "negative", "text", "float", "bool"])
+    def test_bad_threads_refused_when_built(self, threads):
+        with pytest.raises(InvalidInputError) as built:
+            tiny_config(threads=threads)
+        with pytest.raises(InvalidInputError) as counted:
+            worker_count(threads)
+        assert str(built.value) == str(counted.value)
+
+    @pytest.mark.parametrize("threads, expected", [("auto", None), (None, None), (3, 3)])
+    def test_threads_read_from_a_file(self, tmp_path, threads, expected):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cases": ["linear"], "transforms": ["identity"],
+                                    "m_grid": [1], "rho_grid": [0.0],
+                                    "threads": threads}))
+        assert load_config(path.as_posix()).threads == expected
+
+    def test_zero_threads_refused_in_a_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cases": ["linear"], "transforms": ["identity"],
+                                    "m_grid": [1], "rho_grid": [0.0], "threads": 0}))
+        with pytest.raises(InvalidInputError, match="threads must be >= 1"):
+            load_config(path.as_posix())
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -116,6 +140,27 @@ class TestRunExperiment:
         assert [(r.case, r.rho, r.method, r.rejection_rate) for r in a] == \
                [(r.case, r.rho, r.method, r.rejection_rate) for r in b]
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_stopping_tests_give_the_full_b_csv(self, monkeypatch, alpha, threads):
+        # The harness stops each permutation test once it cannot reject; its
+        # CSV must be the one built from public tests that draw all B.
+        cfg = tiny_config(cases=("linear", "quadratic"), rho_grid=(0.0, 0.6),
+                          methods=("xi_asymptotic", "xi_permutation", "dcor_permutation"),
+                          n=30, reps=5, B=39, alpha=alpha, threads=threads)
+        stopping, full = io.StringIO(), io.StringIO()
+        records_to_csv(run_experiment(cfg), stopping)
+        asked = []
+
+        def full_b(*args, _stop_at_decision, **kwargs):
+            asked.append(_stop_at_decision)
+            return dep_tests.run_test(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_test", full_b)
+        records_to_csv(run_experiment(cfg), full)
+        assert asked and all(asked)
+        assert strip_elapsed(stopping.getvalue()) == strip_elapsed(full.getvalue())
+
     def test_linear_embed_records_carry_matrix_hash(self):
         cfg = tiny_config(transforms=("linear_embed",), m_grid=(2,))
         records = run_experiment(cfg)
@@ -151,9 +196,9 @@ class TestRunExperiment:
         # the cold null constants take seconds; a bad threads value must not pay them
         warmed = []
         monkeypatch.setattr(simulate, "default_null_constants", warmed.append)
-        cfg = tiny_config(m_grid=(4, 6), methods=("xi_asymptotic",), threads="two")
         with pytest.raises(InvalidInputError, match="threads"):
-            run_experiment(cfg)
+            run_experiment(tiny_config(m_grid=(4, 6), methods=("xi_asymptotic",),
+                                       threads="two"))
         assert warmed == []
 
     def test_output_sorted_deterministically(self):
