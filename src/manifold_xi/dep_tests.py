@@ -6,7 +6,8 @@ deviation for the known intrinsic dimension ``m`` and rejects in the right
 tail: the coefficient's population value is zero exactly under
 independence and positive under dependence, so all the power lives on the
 right.  The permutation variants are exact-level fallbacks that need no
-dimension at all.
+dimension at all.  Both xi tests take the coefficient, and the NN graph
+under it, from :mod:`manifold_xi.rank_xi`, which alone assembles it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import (
     check_int,
     check_real,
 )
-from .nn_graph import _pairwise_sqdist, build_nn_graph
+from .nn_graph import _pairwise_sqdist
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import _tie_sizes, _validate_pair, _xi_from_ranks
+from .rank_xi import _validate_pair, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -72,24 +73,6 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _stop_count(alpha: float, B: int, stop: bool) -> int:
-    """The exceedance count at which a permutation test may stop drawing.
-
-    With ``stop``, it is the smallest ``k`` whose p-value ``(1 + k) / (B + 1)``
-    exceeds ``alpha`` in that same float arithmetic: once ``k`` permutations
-    reach the observed statistic, the test cannot reject whatever the rest
-    give, and ``(1 + k) / (B + 1)`` is a lower bound on the full p-value.
-    It is 0, so nothing is drawn, when ``alpha < 1 / (B + 1)``.  Without
-    ``stop`` it is ``B + 1``, which no count reaches.
-    """
-    if not stop:
-        return B + 1
-    k = max(0, math.floor(alpha * (B + 1.0)) - 2)  # at most the answer
-    while (1.0 + k) / (B + 1.0) <= alpha:
-        k += 1
-    return k
-
-
 def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
                        constants: NullConstants | None = None,
                        tail: str = "right") -> TestResult:
@@ -118,15 +101,14 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     _check_alpha(alpha)
     check_int("m", m, 1)
     check_choice("tail", tail, TAILS)
-    cloud, _, ranks = _validate_pair(x, y, min_n=3)
-    sizes = _tie_sizes(ranks)
+    cloud, ranks, sizes = _xi_sample(x, y)
     if sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
     elif constants.m != m:
         raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
-    _, value = _xi_from_ranks(ranks, sizes, build_nn_graph(cloud).nn_index)
+    _, _, value = _xi_statistic(cloud, ranks, sizes)
     z = math.sqrt(cloud.n) * value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.
     if tail == "right":
@@ -161,14 +143,11 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
-    cloud, _, ranks = _validate_pair(x, y, min_n=3)
-    sizes = _tie_sizes(ranks)
-    nn = build_nn_graph(cloud).nn_index
-    observed, value = _xi_from_ranks(ranks, sizes, nn)
-    stop = _stop_count(alpha, B, _stop_at_decision)
+    cloud, ranks, sizes = _xi_sample(x, y)
+    nn, observed, value = _xi_statistic(cloud, ranks, sizes)
     exceed, shuffled = 0, np.empty_like(ranks)
     for _ in range(B):
-        if exceed >= stop:
+        if _stop_at_decision and (1.0 + exceed) / (B + 1.0) > alpha:
             break
         np.copyto(shuffled, ranks)
         rng.shuffle(shuffled)
@@ -322,7 +301,6 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
     slack = _dcor_slack(a, y)  # before the permutation scratch exists
-    stop = _stop_count(alpha, B, _stop_at_decision)
     block = max(1, min(B, _DCOR_BLOCK_ENTRIES // (n * n)))
     identities = np.tile(np.arange(n), (block, 1))
     # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
@@ -334,7 +312,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     a_flat = a.ravel()
     exceed = 0
     for start in range(0, B, block):
-        if exceed >= stop:
+        if _stop_at_decision and (1.0 + exceed) / (B + 1.0) > alpha:
             break
         perms = rng.permuted(identities[:B - start], axis=1)
         z = y[perms]

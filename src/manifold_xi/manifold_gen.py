@@ -81,9 +81,15 @@ class ScenarioSpec:
         check_int("m", self.m, 1)
         check_int("n", self.n, 1)
         check_real("rho", self.rho, 0.0)
-        if self.case == "gaussian" and self.m * self.rho**2 >= 1.0:
-            raise InvalidInputError(
-                f"gaussian case needs m * rho^2 < 1, got m={self.m}, rho={self.rho}")
+        if reason := _infeasibility(self.case, self.m, self.rho):
+            raise InvalidInputError(reason)
+
+
+def _infeasibility(case: str, m: int, rho: float) -> str | None:
+    """Why the scenario has no sample (gaussian needs ``m * rho^2 < 1``), or ``None``."""
+    if case == "gaussian" and m * rho**2 >= 1.0:
+        return f"gaussian correlation infeasible: m*rho^2={m * rho**2:g} >= 1"
+    return None
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Chatterjee (2021) and Azadkia & Chatterjee (2021),
 which without ties is computed as ``xi_n = 6 S / (n^2 - 1) - (2n + 1) /
 (n - 1)``, the same value in exact arithmetic.  Under independence it is
 centered near zero; when ``y`` is a function of ``x`` it approaches one.
-A constant ``y`` makes it undefined and is refused.
+A constant ``y`` makes it undefined and is refused.  Only this module
+assembles it (sample, NN graph, rank sum), for :func:`xi_n` and for the
+xi tests of :mod:`manifold_xi.dep_tests`.
 """
 
 from __future__ import annotations
@@ -82,24 +84,29 @@ def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray, np.ndarray
     return cloud, y, ranks
 
 
-def _tie_sizes(ranks: np.ndarray) -> np.ndarray:
-    """Size of each response's tie group; a constant response is refused."""
+def _xi_sample(x, y) -> tuple[PointCloud, np.ndarray, np.ndarray]:
+    """Validate a pair for the coefficient (``n >= 3``); returns the cloud,
+    the ranks and the size of each response's tie group.  A constant
+    response is refused."""
+    cloud, _, ranks = _validate_pair(x, y, min_n=3)
     sizes = np.bincount(ranks)[ranks]
     if sizes[0] == sizes.shape[0]:
         raise DegenerateInputError("constant response: the coefficient is undefined")
-    return sizes
+    return cloud, ranks, sizes
 
 
-def _xi_from_ranks(ranks: np.ndarray, sizes: np.ndarray,
-                   nn: np.ndarray) -> tuple[int, float]:
-    """Exact rank sum ``S = sum_i min(R_i, R_N(i))`` and the coefficient it
-    gives: ``xi_n`` without ties, ``T_n`` with them (tie-group ``sizes``)."""
+def _xi_statistic(cloud: PointCloud, ranks: np.ndarray,
+                  sizes: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The NN index of ``cloud``, the exact rank sum ``S = sum_i min(R_i,
+    R_N(i))`` and the coefficient it gives: ``xi_n`` without ties, ``T_n``
+    with them (tie-group ``sizes``)."""
     n = ranks.shape[0]
+    nn = build_nn_graph(cloud).nn_index
     rank_sum = int(np.minimum(ranks, ranks[nn]).sum())
     if sizes.max() == 1:
-        return rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
+        return nn, rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
     upper = (n - ranks + sizes).astype(float)  # L_i = #{j : y_j >= y_i}
-    return rank_sum, float((n * rank_sum - upper @ upper) / (upper @ (n - upper)))
+    return nn, rank_sum, float((n * rank_sum - upper @ upper) / (upper @ (n - upper)))
 
 
 def xi_n(x, y, strict: bool = False) -> XiStatistic:
@@ -123,14 +130,12 @@ def xi_n(x, y, strict: bool = False) -> XiStatistic:
     :func:`build_nn_graph` for every ``n`` and ``d``; distance ties break
     toward the smallest index, so the value is deterministic on any input.
     """
-    cloud, _, ranks = _validate_pair(x, y, min_n=3)
-    sizes = _tie_sizes(ranks)
+    cloud, ranks, sizes = _xi_sample(x, y)
     if strict:
         cloud.require_distinct()
         if sizes.max() > 1:
             raise TieError("response contains exact ties")
-    _, value = _xi_from_ranks(ranks, sizes, build_nn_graph(cloud).nn_index)
-    return XiStatistic(value=value, n=cloud.n)
+    return XiStatistic(value=_xi_statistic(cloud, ranks, sizes)[2], n=cloud.n)
 
 
 def min_kernel_moments(samples: int, seed: int = 0) -> KernelMoments:

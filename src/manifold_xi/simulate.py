@@ -31,6 +31,7 @@ from .manifold_gen import (
     CASES,
     TRANSFORMS,
     ScenarioSpec,
+    _infeasibility,
     generate,
     linear_embedding_matrix,
     matrix_hash,
@@ -138,12 +139,10 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
     start = time.perf_counter()
     base = dict(case=case, transform=transform, m=m, rho=rho, n=config.n,
                 reps=config.reps)
-    if case == "gaussian" and m * rho**2 >= 1.0:
+    if skip_reason := _infeasibility(case, m, rho):
         return [PowerRecord(**base, method=method, rejection_rate=math.nan,
                             mc_stderr=math.nan, r_matrix_hash=None, elapsed_ms=0,
-                            skip_reason=f"gaussian correlation infeasible: m*rho^2="
-                                        f"{m * rho**2:g} >= 1")
-                for method in config.methods]
+                            skip_reason=skip_reason) for method in config.methods]
     r_hash = (matrix_hash(linear_embedding_matrix(m, config.master_seed))
               if transform == "linear_embed" else None)
     counts = dict.fromkeys(config.methods, 0)
@@ -185,7 +184,6 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     rejection counts, and so the CSV, are those of tests that draw all
     ``config.B`` permutations, as every call outside the harness does.
     """
-    workers = worker_count(config.threads)
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
     if "xi_asymptotic" in config.methods:
@@ -202,7 +200,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
                         f"{rec.method}: rate={rec.rejection_rate:.4f}")
         return records
 
-    flat = [rec for records in parallel_map(run, cells, workers)
+    flat = [rec for records in parallel_map(run, cells, config.threads)
             for rec in records]
     flat.sort(key=lambda r: (r.case, r.transform, r.m, r.rho, r.method))
     return flat

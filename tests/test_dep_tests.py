@@ -7,6 +7,7 @@ from scipy import special
 
 from manifold_xi import (
     DegenerateInputError,
+    DuplicatePointsError,
     InvalidInputError,
     TieError,
     dcor_stats,
@@ -23,20 +24,52 @@ from manifold_xi.rngs import substream
 EXACT_1D = null_variance(1, source="closed_form")
 
 
-def dcor_permutation_by_gather(x, y, B, seed):
-    """Reference dcor permutation test: gather the relabelled centred ``y``
-    matrix for every permutation.  Returns ``(statistic, p_value)``."""
+def dcor_gather_hits(x, y, B, seed):
+    """Reference dcor permutation draws: gather the relabelled centred ``y``
+    matrix for every permutation.  Returns the statistic and, per draw,
+    whether its cross product reaches the observed one."""
     a = _centred_distances(np.asarray(x, dtype=float), "x")
     b = _centred_distances(np.asarray(y, dtype=float), "y")
     norm = math.sqrt(float((a * a).mean()) * float((b * b).mean()))
     observed = float((a * b).mean())
     rng = substream(seed)
-    exceed = 0
+    hits = []
     for _ in range(B):
         perm = rng.permutation(len(y))
-        if float((a * b[np.ix_(perm, perm)]).mean()) >= observed:
-            exceed += 1
-    return min(max(observed, 0.0) / norm, 1.0), (1.0 + exceed) / (B + 1.0)
+        hits.append(float((a * b[np.ix_(perm, perm)]).mean()) >= observed)
+    return min(max(observed, 0.0) / norm, 1.0), hits
+
+
+def dcor_permutation_by_gather(x, y, B, seed):
+    """Reference dcor permutation test: ``(statistic, p_value)``."""
+    stat, hits = dcor_gather_hits(x, y, B, seed)
+    return stat, (1.0 + sum(hits)) / (B + 1.0)
+
+
+def xi_shuffle_hits(x, y, B, seed):
+    """Reference xi permutation draws: shuffle the ranks ``B`` times from
+    ``substream(seed)``; per draw, whether its rank sum reaches the observed."""
+    ranks = rank_xi.compute_ranks(y)
+    nn = nn_graph.build_nn_graph(x).nn_index
+    observed = int(np.minimum(ranks, ranks[nn]).sum())
+    rng = substream(seed)
+    hits = []
+    for _ in range(B):
+        shuffled = ranks.copy()
+        rng.shuffle(shuffled)
+        hits.append(int(np.minimum(shuffled, shuffled[nn]).sum()) >= observed)
+    return hits
+
+
+def first_stop(hits, alpha, B):
+    """The first draw count ``t`` at which the exceedances among the first
+    ``t`` draws give ``(1 + k) / (B + 1) > alpha``, or ``B`` if none does."""
+    k = 0
+    for t, hit in enumerate(hits):
+        if (1.0 + k) / (B + 1.0) > alpha:
+            return t
+        k += hit
+    return B
 
 
 def dcor_case(kind, n, rng):
@@ -293,6 +326,46 @@ class TestOneResponsePath:
         assert res.statistic == xi_n(x, y).value
 
 
+class TestRefusedBeforeTheGraph:
+    """A refused xi input builds no NN graph."""
+
+    @pytest.fixture
+    def graphs(self, monkeypatch):
+        rows = []
+        build = rank_xi.build_nn_graph
+
+        def counted(cloud):
+            rows.append(cloud.n)
+            return build(cloud)
+
+        monkeypatch.setattr(rank_xi, "build_nn_graph", counted)
+        return rows
+
+    def test_each_refusal_comes_before_the_graph(self, graphs):
+        rng = np.random.default_rng(17)
+        x, y = rng.random((40, 2)), rng.random(40)
+        tied = np.round(y, 1)
+        duplicated = np.vstack([x[:20], x[:20]])
+        refusals = [
+            (DegenerateInputError, lambda: xi_n(x, np.full(40, 1.5))),
+            (DegenerateInputError, lambda: xi_test_asymptotic(x, np.full(40, 1.5), m=1,
+                                                              constants=EXACT_1D)),
+            (DegenerateInputError, lambda: xi_test_permutation(x, np.full(40, 1.5), B=19)),
+            (DuplicatePointsError, lambda: xi_n(duplicated, y, strict=True)),
+            (TieError, lambda: xi_n(x, tied, strict=True)),
+            (TieError, lambda: xi_test_asymptotic(x, tied, m=1, constants=EXACT_1D)),
+            (InvalidInputError, lambda: xi_test_asymptotic(x, y, m=3, constants=EXACT_1D)),
+        ]
+        for error, call in refusals:
+            with pytest.raises(error):
+                call()
+        assert graphs == []
+        for call in (lambda: xi_n(x, y), lambda: xi_test_permutation(x, y, B=19),
+                     lambda: xi_test_asymptotic(x, y, m=1, constants=EXACT_1D)):
+            call()
+        assert graphs == [40, 40, 40]  # one graph per accepted call, seen by the spy
+
+
 class TestDistanceCorrelation:
     def test_identical_variables_give_one(self):
         y = np.random.default_rng(12).permutation(50).astype(float)
@@ -544,11 +617,20 @@ class TestStopAtDecision:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("B", [19, 199])
-    def test_stop_count_is_the_first_count_above_alpha(self, alpha, B):
-        k = dep_tests._stop_count(alpha, B, True)
-        assert (1.0 + k) / (B + 1.0) > alpha
-        assert k == 0 or k / (B + 1.0) <= alpha
-        assert dep_tests._stop_count(alpha, B, False) == B + 1
+    @pytest.mark.parametrize("sample", ["null", "dependent"])
+    def test_stops_at_the_first_draw_above_alpha(self, sample, B, alpha, draws):
+        # Replayed outside the tests: the xi test stops after exactly t
+        # shuffles, the dcor test at the first block boundary at or after t.
+        rng = np.random.default_rng(21)
+        x = rng.random((30, 2))
+        y = rng.random(30) if sample == "null" else x[:, 0] + 0.3 * rng.random(30)
+        t_xi = first_stop(xi_shuffle_hits(x, y, B, 7), alpha, B)
+        t_dcor = first_stop(dcor_gather_hits(x, y, B, 7)[1], alpha, B)
+        xi_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
+        dcor_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
+        block = min(B, dep_tests._DCOR_BLOCK_ENTRIES // 30**2)
+        assert draws[0].drawn == t_xi
+        assert draws[1].drawn == min(B, -(-t_dcor // block) * block)
 
     @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
     @pytest.mark.parametrize("B", [19, 199])

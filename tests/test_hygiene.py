@@ -4,7 +4,8 @@
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
-at its decision, files are read as ``utf-8-sig``, the public name list is
+at its decision, only ``rank_xi`` assembles the coefficient and builds its
+graph, files are read as ``utf-8-sig``, the public name list is
 exact, and every public function and class has a docstring of its own."""
 
 import ast
@@ -227,6 +228,45 @@ def test_the_stop_argument_stays_private():
               if param is not None}
     assert takers == dict.fromkeys(["xi_test_permutation", "dcor_test_permutation", "run_test"],
                                    (inspect.Parameter.KEYWORD_ONLY, False))
+
+
+ASSEMBLY = ("build_nn_graph", "_xi_sample", "_xi_statistic")
+
+
+def assembly_names(source: str) -> list[str]:
+    """Imports of and references to the NN graph builder and the two private
+    steps that assemble the coefficient, by name and line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        found += [f"{name} (line {node.lineno})" for name in names if name in ASSEMBLY]
+    return found
+
+
+def test_the_checker_finds_assembly_names():
+    source = ("from .nn_graph import build_nn_graph, count_motifs\n"
+              "from .rank_xi import _xi_sample as prepare\n"
+              "nn_graph.build_nn_graph(x)\n"
+              "_xi_statistic(cloud, ranks, sizes)\n"
+              "def build_nn_graph(cloud): pass\n"
+              "'build_nn_graph'\n")
+    assert assembly_names(source) == ["build_nn_graph (line 1)", "_xi_sample (line 2)",
+                                      "build_nn_graph (line 3)", "_xi_statistic (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_rank_xi_assembles_the_coefficient(path):
+    # rank_xi prepares the sample and builds the graph for xi_n and both xi
+    # tests; dep_tests takes both steps from it and builds no graph itself.
+    allowed = {"rank_xi.py": set(ASSEMBLY), "dep_tests.py": set(ASSEMBLY[1:]),
+               "nn_graph.py": {"build_nn_graph"}}.get(path.name, set())
+    names = {entry.split()[0] for entry in assembly_names(path.read_text(encoding="utf-8"))}
+    assert names <= allowed
+    if path.name != "nn_graph.py":
+        assert names == allowed
 
 
 def bom_blind_reads(source: str) -> list[str]:

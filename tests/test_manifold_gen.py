@@ -49,6 +49,8 @@ class TestScenarioSpec:
     def test_rejects_infeasible_gaussian(self):
         with pytest.raises(InvalidInputError):
             ScenarioSpec("gaussian", "identity", m=30, rho=0.2, n=100)
+        with pytest.raises(InvalidInputError, match="infeasible: m\\*rho\\^2=1 >= 1"):
+            ScenarioSpec("gaussian", "identity", m=4, rho=0.5, n=100)  # exactly 1
 
     def test_rejects_unknown_enums(self):
         with pytest.raises(InvalidInputError):

@@ -175,6 +175,11 @@ class TestRunExperiment:
         assert len(skipped) == 1 and len(ok) == 1  # only m*rho^2 >= 1 skipped
         assert math.isnan(skipped[0].rejection_rate)
         assert "infeasible" in skipped[0].skip_reason
+        # m * rho^2 exactly 1 is skipped too, for the reason the spec refuses it
+        records = run_experiment(tiny_config(cases=("gaussian",), m_grid=(4,), rho_grid=(0.5,)))
+        with pytest.raises(InvalidInputError) as refused:
+            ScenarioSpec("gaussian", "identity", m=4, rho=0.5, n=30)
+        assert [r.skip_reason for r in records] == [str(refused.value)]
 
     def test_power_increases_with_dependence(self):
         cfg = tiny_config(cases=("linear",), transforms=("identity",),
