@@ -25,7 +25,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .nn_graph import _pairwise_sqdist
+from .nn_graph import _pairwise_sqdist, _prescaled
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _validate_pair, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
@@ -157,7 +157,7 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
                       reject=p <= alpha, alpha=alpha, B=B, seed=seed)
 
 
-def _centred_distances(a: np.ndarray, name: str) -> np.ndarray:
+def _centred_distances(a: np.ndarray) -> np.ndarray:
     """Double-centred Euclidean distance matrix of the rows of ``a``.
 
     The squared distances come from the row-blocked
@@ -166,9 +166,7 @@ def _centred_distances(a: np.ndarray, name: str) -> np.ndarray:
     numpy's), so the matrix equals the broadcast
     ``sqrt((diff * diff).sum(-1))`` bit for bit.  The square root and the
     centring ``((D - row means) - column means) + grand mean`` run in place
-    on that one ``(n, n)`` matrix.  A squared distance that overflows makes
-    the grand mean infinite and raises :class:`InvalidInputError` naming
-    the sample ``name``.
+    on that one ``(n, n)`` matrix; ``a`` is :func:`_prescaled` first.
     """
     if a.ndim == 1:
         a = a[:, None]
@@ -176,10 +174,6 @@ def _centred_distances(a: np.ndarray, name: str) -> np.ndarray:
     np.sqrt(d, out=d)
     row_mean, col_mean = d.mean(axis=1, keepdims=True), d.mean(axis=0, keepdims=True)
     grand_mean = d.mean()
-    if not math.isfinite(grand_mean):
-        raise InvalidInputError(
-            f"a squared distance between two rows of {name} overflows a float "
-            f"(a distance above about 1.3e154); rescale {name}")
     d -= row_mean
     d -= col_mean
     d += grand_mean
@@ -192,8 +186,8 @@ def _dcor_parts(points: np.ndarray, y: np.ndarray
     cross product ``mean(a * b)``, the distance variances of ``x`` and
     ``y``, and their geometric mean (the normaliser).  The three products
     are formed in one reused ``(n, n)`` buffer."""
-    a = _centred_distances(points, "x")
-    b = _centred_distances(y, "y")
+    a = _centred_distances(points)
+    b = _centred_distances(y)
     product = np.multiply(a, a)
     dvar_x = float(product.mean())
     dvar_y = float(np.multiply(b, b, out=product).mean())
@@ -207,15 +201,19 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     Double-centers the Euclidean distance matrices of ``x`` and ``y``,
     averages elementwise products (V-statistic convention), and normalizes
     by the geometric mean of the two self-products.  A constant ``x`` or
-    ``y`` makes the normalizer zero; that degenerate case reports 0.
+    ``y`` makes the normalizer zero; that degenerate case reports 0.  The
+    :func:`_prescaled` samples give ``dcov2`` and ``dvar_*`` scaled back
+    exactly: ``inf`` above the float range, ``0`` below it.
     """
     cloud, y, _ = _validate_pair(x, y, min_n=4)
-    _, _, cross, dvar_x, dvar_y, norm = _dcor_parts(cloud.points, y)
+    (points, ex), (y, ey) = map(_prescaled, (cloud.points, y))
+    _, _, cross, dvar_x, dvar_y, norm = _dcor_parts(points, y)
     dcov2 = max(cross, 0.0)
-    if norm <= 0.0:
-        return DistanceCorrelation(0.0, dcov2, dvar_x, dvar_y, degenerate=True)
-    return DistanceCorrelation(min(max(dcov2 / norm, 0.0), 1.0),
-                               dcov2, dvar_x, dvar_y, degenerate=False)
+    dcor2 = min(max(dcov2 / norm, 0.0), 1.0) if norm > 0.0 else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        dcov2, dvar_x, dvar_y = np.ldexp([dcov2, dvar_x, dvar_y],
+                                         [ex + ey, 2 * ex, 2 * ey]).tolist()
+    return DistanceCorrelation(dcor2, dcov2, dvar_x, dvar_y, degenerate=norm <= 0.0)
 
 
 def _permuted_cross(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
@@ -246,8 +244,7 @@ def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
     The total, ``4N + 2n + 15``, is below ``4k`` with ``k = N + n + 4``, so
     the bound is ``2 P (R + 4 g A)`` with ``g = k u / (1 - k u)``.  The
     factor 2 covers second-order terms and the rounding of the bound
-    itself.  A non-finite bound (``P`` overflows) sends every permutation
-    to the exact re-check.
+    itself.
     """
     n2 = a.size
     k = n2 + a.shape[0] + 4
@@ -268,7 +265,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     which leaves both normalisers invariant, so only the cross product
     ``mean(a * b[p][:, p])`` changes.  The p-value is ``(1 + k) / (B + 1)``
     with ``k`` the number of permutations whose cross product is at least
-    the observed one.
+    the observed one, all on the :func:`_prescaled` samples.
 
     No permuted copy of ``b`` is built.  Because ``a`` is double-centred,
     ``sum(a * b[p][:, p]) = sum_ij a_ij |y[p_i] - y[p_j]|`` in exact
@@ -294,7 +291,8 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
     cloud, y, _ = _validate_pair(x, y, min_n=4)
-    a, b, observed, _, _, norm = _dcor_parts(cloud.points, y)
+    (points, _), (y, _) = map(_prescaled, (cloud.points, y))
+    a, b, observed, _, _, norm = _dcor_parts(points, y)
     n = cloud.n
     if norm <= 0.0:
         # Degenerate input: every permuted statistic equals the observed 0.

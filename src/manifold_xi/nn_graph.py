@@ -2,7 +2,8 @@
 
 Each point gets exactly one outgoing edge, to its Euclidean nearest
 neighbor (distance ties broken by smallest index), found by one exact
-kd-tree kernel for every sample size and ambient dimension:
+kd-tree kernel for every sample size and ambient dimension, on the cloud
+:func:`_prescaled` gives, where no squared distance overflows:
 
 1. Exact copies are merged first: each row maps to the smallest index of
    its equal rows, found by one sort of column 0 when that column alone
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DuplicatePointsError, InvalidInputError, check_choice, check_int
+from .errors import DuplicatePointsError, InvalidInputError, as_real_array, check_choice, check_int
 from .rngs import parallel_map, substream, worker_count
 
 # Relative slack used when deciding whether the tree's candidate list
@@ -56,6 +57,7 @@ _TIE_RTOL = 1e-9
 
 _BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
+_SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
 
 
@@ -66,7 +68,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = as_real_array("x", self.points)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
@@ -94,7 +96,7 @@ class PointCloud:
 
 def as_point_cloud(x) -> PointCloud:
     """Coerce an array (or pass through a :class:`PointCloud`) with validation."""
-    return x if isinstance(x, PointCloud) else PointCloud(np.asarray(x, dtype=float))
+    return x if isinstance(x, PointCloud) else PointCloud(x)
 
 
 @dataclass(frozen=True)
@@ -159,9 +161,7 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every exact distance in this module (the all-pairs reference and the
     tree's candidate check) comes from this one function, so
     candidates are compared, and the smallest-index tie rule applied, on
-    identical floating-point values.  A square or sum that overflows is
-    ``inf``; the callers hide numpy's warning and refuse an overflow the
-    answer needs.
+    identical floating-point values.
     """
     d = len(a)
     if d > 128:
@@ -218,6 +218,15 @@ def _nn_brute(pts: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
+def _prescaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(pts * 2**-e, e)`` with ``e`` the ``np.frexp`` exponent of the
+    largest absolute coordinate if beyond ``±_SCALE_EXPONENT``, else
+    ``(pts, 0)``.  The scale is exact and changes neither the graph nor a
+    dcor ratio; every squared distance stays below ``4 d 2**512``."""
+    e = int(np.frexp(max(pts.max(), -pts.min()))[1])
+    return (pts, 0) if abs(e) <= _SCALE_EXPONENT else (np.ldexp(pts, -e), e)
+
+
 def _smallest_equal_index(pts: np.ndarray) -> np.ndarray:
     """Each row's smallest equal index: ``np.arange(n)`` when one sort of
     column 0 proves the rows distinct, else from ``np.unique(axis=0)``."""
@@ -242,10 +251,6 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     At ``k = n`` every row is a candidate, in index order: no query, nothing
     to prove.  Returns the chosen indices and a mask of the rows whose list
     cannot provably contain the exact nearest neighbor.
-
-    A candidate at a distance the tree cannot represent comes back as the
-    missing index ``n`` and is skipped; a row whose nearest squared distance
-    overflows raises :class:`InvalidInputError`.
     """
     n, d = pts.shape
     nn, unsure = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
@@ -254,29 +259,22 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
 
     def one(start: int) -> None:
         blk = slice(start, start + block)
-        with np.errstate(over="ignore"):
-            if k < n:
-                dist, cand = tree.query(pts[rows[blk]], k=k)
-                other = np.take(cols, cand, axis=1, mode="clip")
-            else:
-                cand, other = np.arange(n), cols[:, None, :]
-            d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
-            # mask self wherever it appears, and neighbors the tree lost (index n)
-            d2[(cand == rows[blk, None]) | (cand == n)] = np.inf
-            if k == n:  # np.argmin returns the first minimum, i.e. the smallest index
-                nn[blk] = d2.argmin(axis=1)
-                best = np.take_along_axis(d2, nn[blk, None], axis=1)
-            else:
-                best = d2.min(axis=1)
-                nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
-                # rows outside the list are at least as far (by the tree's
-                # arithmetic) as the k-th candidate: beating that bound with
-                # slack proves the exact minimum is inside the list
-                unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
-        if not np.isfinite(best).all():
-            raise InvalidInputError(
-                "the squared distance from a row to its nearest neighbor "
-                "overflows a float (a distance above about 1.3e154); rescale the points")
+        if k < n:
+            dist, cand = tree.query(pts[rows[blk]], k=k)
+            other = np.take(cols, cand, axis=1)
+        else:
+            cand, other = np.arange(n), cols[:, None, :]
+        d2 = _sqdist(other, np.take(cols, rows[blk], axis=1)[:, :, None])
+        d2[cand == rows[blk, None]] = np.inf  # self, wherever it appears
+        if k == n:  # np.argmin returns the first minimum, i.e. the smallest index
+            nn[blk] = d2.argmin(axis=1)
+        else:
+            best = d2.min(axis=1)
+            nn[blk] = np.where(d2 <= best[:, None], cand, n).min(axis=1)
+            # rows outside the list are at least as far (by the tree's
+            # arithmetic) as the k-th candidate: beating that bound with
+            # slack proves the exact minimum is inside the list
+            unsure[blk] = ~(best < dist[:, -1] ** 2 * (1.0 - _TIE_RTOL))
 
     parallel_map(one, range(0, len(rows), block), workers)
     return nn, unsure
@@ -334,10 +332,10 @@ def build_nn_graph(cloud) -> NnGraph:
     """Build the directed Euclidean nearest-neighbor graph.
 
     Each row points to the smallest index among its nearest other rows, by
-    exact squared distances, so the graph equals the all-pairs scan on any
-    input.  A duplicate row points to the smallest index among its other
-    copies and any row whose distance to it underflows to zero; copies cost
-    linear time on every input.
+    exact squared distances of the :func:`_prescaled` cloud, so the graph
+    equals that cloud's all-pairs scan on any input.  A duplicate row points
+    to the smallest index among its other copies and any row whose distance
+    to it underflows to zero; copies cost linear time on every input.
 
     Parameters
     ----------
@@ -349,7 +347,7 @@ def build_nn_graph(cloud) -> NnGraph:
     NnGraph
     """
     cloud = as_point_cloud(cloud)
-    nn = _nn_tree(cloud.points)
+    nn = _nn_tree(_prescaled(cloud.points)[0])
     return NnGraph(nn_index=nn, in_degree=np.bincount(nn, minlength=cloud.n))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, TieError, check_int
+from .errors import DegenerateInputError, InvalidInputError, TieError, as_real_array, check_int
 from .nn_graph import PointCloud, as_point_cloud, build_nn_graph
 from .rngs import substream
 
@@ -51,15 +51,15 @@ def compute_ranks(y) -> np.ndarray:
     """Counting ranks ``R_i = #{j : y_j <= y_i}`` (values in ``1..n``).
 
     This is the one check of a response: it must be 1-D, hold at least two
-    values and be finite.  Tied responses share their largest rank, so
-    ``np.bincount(ranks)[ranks]`` is the size of each response's tie group.
-    The ranks are found on the sorted values, where each binary search
-    starts near the last, and scattered back through one ``argsort``.
+    values and be real and finite.  Tied responses share their largest
+    rank, so ``np.bincount(ranks)[ranks]`` is the size of each response's
+    tie group.  The ranks are found on the sorted values, where each binary
+    search starts near the last, and scattered back through one ``argsort``.
 
     >>> compute_ranks([10.0, -3.0, 5.5]).tolist()
     [3, 1, 2]
     """
-    y = np.asarray(y, dtype=float)
+    y = as_real_array("response", y)
     if y.ndim != 1:
         raise InvalidInputError(f"response must be 1-D, got ndim={y.ndim}")
     check_int("number of responses", y.shape[0], 2)
@@ -76,8 +76,8 @@ def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray, np.ndarray
     """Validate paired predictors and responses of equal length ``n >= min_n``;
     returns the cloud, the responses as floats and their ranks."""
     cloud = as_point_cloud(x)
-    y = np.asarray(y, dtype=float)
-    ranks = compute_ranks(y)
+    y = as_real_array("response", y)
+    ranks = compute_ranks(y)  # takes the float array without a copy
     if y.shape[0] != cloud.n:
         raise InvalidInputError(f"length mismatch: {cloud.n} points vs {y.shape[0]} responses")
     check_int("n", cloud.n, min_n)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from manifold_xi import REFERENCE_PAIR_LIMITS, REFERENCE_TRIPLE_LIMITS, ScenarioSpec
+from manifold_xi import REFERENCE_PAIR_LIMITS, REFERENCE_TRIPLE_LIMITS, ScenarioSpec, xi_n
 from manifold_xi import cli, null_constants
 from manifold_xi.cli import cli_dispatch
-from manifold_xi.manifold_gen import read_dataset_csv
+from manifold_xi.dep_tests import METHODS
+from manifold_xi.manifold_gen import read_dataset_csv, write_dataset_csv
 
 
 @pytest.fixture
@@ -140,19 +141,42 @@ def test_xi_undecodable_file_is_one_error_line(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: {path.as_posix()}: not UTF-8 text"]
 
 
-def test_xi_overflowing_distances_are_one_error_line(tmp_path, capsys):
-    # the kd-tree loses neighbors whose squared distance overflows; this
-    # used to end in an IndexError traceback
+def _write_xy(path, x, y):
+    with open(path, "w", encoding="utf-8") as fh:
+        write_dataset_csv(fh, x, y)
+    return path.as_posix()
+
+
+def test_xi_huge_coordinates_print_their_coefficient(tmp_path, capsys):
+    # squared distances near 1e320 overflow unless the cloud is prescaled
     rng = np.random.default_rng(24)
-    x = rng.random((120, 2)) * 1e160
-    path = tmp_path / "huge.csv"
-    path.write_text("y,x1,x2\n" + "".join(
-        f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(x.tolist())))
-    assert cli_dispatch(["xi", "--input", path.as_posix()]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: the squared distance")
+    x, y = rng.random((120, 2)) * 1e160, np.arange(120.0)
+    path = _write_xy(tmp_path / "huge.csv", x, y)
+    assert cli_dispatch(["xi", "--input", path]) == 0
+    assert capsys.readouterr().out == f"{xi_n(x, y).value:.10g}\n"
+    assert xi_n(x, y) == xi_n(x / 1e160, y)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+@pytest.mark.parametrize("scaled", ["x", "y"])
+def test_extreme_scales_are_numbers_or_one_error_line(tmp_path, capsys, scale, scaled):
+    rng = np.random.default_rng(27)
+    x = rng.random((40, 2))
+    y = x.sum(axis=1) + 0.1 * rng.random(40)
+    x, y = (x * scale, y) if scaled == "x" else (x, y * scale)
+    path = _write_xy(tmp_path / "scaled.csv", x, y)
+    commands = [["xi"]] + [["test", "--method", method, "--dim", "2", "--permutations", "19"]
+                           for method in METHODS]
+    for command in commands:
+        code = cli_dispatch(command + ["--input", path])
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+            continue
+        assert code == 0
+        numbers = [float(out)] if command == ["xi"] else [
+            json.loads(out)[key] for key in ("statistic", "p")]
+        assert np.isfinite(numbers).all()
 
 
 def test_test_tied_response_is_one_error_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from manifold_xi import (
     DegenerateInputError,
     DuplicatePointsError,
     InvalidInputError,
+    ManifoldXiError,
     TieError,
+    build_nn_graph,
+    compute_ranks,
     dcor_stats,
     dcor_test_permutation,
     null_variance,
@@ -19,6 +23,7 @@ from manifold_xi import (
 )
 from manifold_xi import dep_tests, nn_graph, null_constants, rank_xi
 from manifold_xi.dep_tests import METHODS, _centred_distances, result_as_dict, run_test
+from manifold_xi.errors import as_real_array
 from manifold_xi.rngs import substream
 
 EXACT_1D = null_variance(1, source="closed_form")
@@ -28,8 +33,8 @@ def dcor_gather_hits(x, y, B, seed):
     """Reference dcor permutation draws: gather the relabelled centred ``y``
     matrix for every permutation.  Returns the statistic and, per draw,
     whether its cross product reaches the observed one."""
-    a = _centred_distances(np.asarray(x, dtype=float), "x")
-    b = _centred_distances(np.asarray(y, dtype=float), "y")
+    a = _centred_distances(np.asarray(x, dtype=float))
+    b = _centred_distances(np.asarray(y, dtype=float))
     norm = math.sqrt(float((a * a).mean()) * float((b * b).mean()))
     observed = float((a * b).mean())
     rng = substream(seed)
@@ -404,7 +409,7 @@ class TestDistanceCorrelation:
                      - dist.mean(axis=0, keepdims=True) + dist.mean())
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
         one_block = dcor_stats(x, y)
-        assert np.array_equal(_centred_distances(x, "x"), reference)
+        assert np.array_equal(_centred_distances(x), reference)
         bound = 7 * n * d
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", bound)
         tracemalloc.start()
@@ -414,7 +419,7 @@ class TestDistanceCorrelation:
         finally:
             tracemalloc.stop()
         assert blocked == one_block
-        assert np.array_equal(_centred_distances(x, "x"), reference)
+        assert np.array_equal(_centred_distances(x), reference)
         # two (rows, n, d) block temporaries live at once, plus at most six
         # (n, n) matrices: distances, a, b and the products dcor_stats
         # averages.  The all-at-once difference alone is n * n * d entries.
@@ -502,8 +507,8 @@ class TestDcorPermutation:
     def test_slack_bounds_the_gather_free_value(self, kind):
         n = 30
         x, y = dcor_case(kind, n, np.random.default_rng(7))
-        a = _centred_distances(x, "x")
-        b = _centred_distances(y, "y")
+        a = _centred_distances(x)
+        b = _centred_distances(y)
         slack = dep_tests._dcor_slack(a, y)
         rng = substream(7)
         for perm in [np.arange(n)] + [rng.permutation(n) for _ in range(50)]:
@@ -700,6 +705,10 @@ class TestStopAtDecision:
 
 
 class TestOverflowingDistances:
+    """Each cloud is scaled once by an exact power of two (``_prescaled``),
+    so samples whose squared distances would overflow or underflow give
+    the statistics of the unscaled sample."""
+
     @pytest.fixture
     def sample(self):
         rng = np.random.default_rng(23)
@@ -707,30 +716,107 @@ class TestOverflowingDistances:
         return x, x.sum(axis=1) + 0.1 * rng.random(120)
 
     @pytest.mark.parametrize("call", [
-        lambda x, y: xi_n(x * 1e160, y),
-        lambda x, y: xi_test_asymptotic(x * 1e160, y, 2),
-        lambda x, y: xi_test_permutation(x * 1e160, y),
-        lambda x, y: dcor_test_permutation(x * 1e160, y),
-        lambda x, y: dcor_test_permutation(x, y * 1e160),
-        lambda x, y: dcor_stats(x * 1e160, y),
-        lambda x, y: dcor_stats(x, y * 1e160),
+        lambda x, y, s: xi_n(x * s, y * s),
+        lambda x, y, s: xi_test_asymptotic(x * s, y * s, 2),
+        lambda x, y, s: xi_test_permutation(x * s, y * s),
+        lambda x, y, s: dcor_test_permutation(x * s, y),
+        lambda x, y, s: dcor_test_permutation(x, y * s),
+        lambda x, y, s: dcor_stats(x * s, y).dcor2,
+        lambda x, y, s: dcor_stats(x, y * s).dcor2,
     ], ids=["xi_n", "xi_asymptotic", "xi_permutation", "dcor_perm_x",
             "dcor_perm_y", "dcor_stats_x", "dcor_stats_y"])
-    def test_every_entry_point_refuses(self, sample, call):
-        # the graph used to crash with an IndexError, dcor to report NaN
-        with pytest.raises(InvalidInputError, match="overflows a float"):
-            call(*sample)
+    def test_every_entry_point_is_scale_free(self, sample, call):
+        # unprescaled, 2**600 overflows the squared distances and 2**-600
+        # underflows them
+        unscaled = call(*sample, 1.0)
+        for scale in (2.0**600, 2.0**-600):
+            assert call(*sample, scale) == unscaled  # statistic and p-value, bit for bit
 
-    def test_dcor_names_the_overflowing_sample(self, sample):
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    @pytest.mark.parametrize("scaled", ["x", "y"])
+    def test_extreme_scales_give_finite_statistics(self, sample, scale, scaled):
         x, y = sample
-        with pytest.raises(InvalidInputError, match="rows of y overflows"):
-            dcor_test_permutation(x, y * 1e160)
+        x, y = (x * scale, y) if scaled == "x" else (x, y * scale)
+        calls = [lambda: xi_n(x, y).value, lambda: dcor_stats(x, y).dcor2,
+                 lambda: build_nn_graph(x).nn_index, lambda: compute_ranks(y)]
+        calls += [lambda method=method: run_test(method, x, y, m=2, B=19)
+                  for method in METHODS]
+        for call in calls:
+            try:
+                out = call()
+            except ManifoldXiError:
+                continue
+            if isinstance(out, dep_tests.TestResult):
+                out = [out.statistic, out.p_value]
+            assert np.isfinite(out).all()
+
+    def test_dcor_building_blocks_scale_back(self, sample):
+        # dcov2 and dvar_* carry the scale: exact powers of two, inf past
+        # the float range and 0 below it, without a RuntimeWarning
+        x, y = sample
+        base = dcor_stats(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (100, 300, -300, 600, -600):
+                got = dcor_stats(x * 2.0**k, y * 2.0**-k)
+                assert got.dcor2 == base.dcor2 and not got.degenerate
+                assert got.dcov2 == base.dcov2  # the two scales cancel
+                with np.errstate(over="ignore"):
+                    assert got.dvar_x == np.ldexp(base.dvar_x, 2 * k)
+                    assert got.dvar_y == np.ldexp(base.dvar_y, -2 * k)
+            assert dcor_stats(x * 2.0**600, y).dvar_x == math.inf
+            assert dcor_stats(x, y * 2.0**-600).dvar_y == 0.0
+            assert dcor_stats(x * 2.0**600, y * 2.0**600).dcov2 == math.inf
 
     def test_results_below_the_overflow_are_unchanged(self, sample):
         x, y = sample
         big = x * 2.0**500  # squared distances stay below 2**1024
         assert xi_n(big, y) == xi_n(x, y)
         assert dcor_test_permutation(big, y).p_value == dcor_test_permutation(x, y).p_value
+
+
+class TestNonRealInput:
+    """Complex, non-numeric and ragged samples are refused, naming x or
+    the response, instead of losing an imaginary part or raising numpy's
+    own ``ValueError`` or ``TypeError``."""
+
+    BAD = {  # (x, y)
+        "complex": ([[1 + 1j], [2], [3], [4]], [1 + 1j, 2, 3, 4]),
+        "complex_objects": (np.array([[np.complex128(1j)], [2], [3], [None]], dtype=object),
+                            np.array([np.complex128(1j), 2, 3, None], dtype=object)),
+        "text": ([["a"], ["b"], ["c"], ["d"]], ["a", "b", "c", "d"]),
+        "ragged": ([[1.0], [2.0, 3.0], [4.0], [5.0]], [1.0, [2.0, 3.0], 4.0, 5.0]),
+        "mapping": ({"a": 1}, {"a": 1}),
+    }
+    CALLS = {
+        "xi_n": xi_n,
+        "dcor_stats": dcor_stats,
+        "xi_permutation": lambda x, y: xi_test_permutation(x, y, B=19),
+        "dcor_permutation": lambda x, y: dcor_test_permutation(x, y, B=19),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_every_entry_point_refuses(self, call, bad):
+        good = np.arange(4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(InvalidInputError, match="^x must hold real numbers"):
+                call(bad[0], good)
+            with pytest.raises(InvalidInputError, match="^response must hold real numbers"):
+                call(good, bad[1])
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_graph_and_ranks_refuse(self, bad):
+        with pytest.raises(InvalidInputError, match="^x must hold real numbers"):
+            build_nn_graph(bad[0])
+        with pytest.raises(InvalidInputError, match="^response must hold real numbers"):
+            compute_ranks(bad[1])
+
+    def test_real_input_is_not_copied(self):
+        y = np.arange(5.0)
+        assert as_real_array("response", y) is y
+        assert as_real_array("x", [True, 2, 3.5]).tolist() == [1.0, 2.0, 3.5]
 
 
 class TestAsymptoticPermutationAgreement:

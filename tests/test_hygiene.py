@@ -5,8 +5,9 @@ every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
 at its decision, only ``rank_xi`` assembles the coefficient and builds its
-graph, files are read as ``utf-8-sig``, the public name list is
-exact, and every public function and class has a docstring of its own."""
+graph, files are read as ``utf-8-sig``, caller samples become floats only
+through ``errors.as_real_array``, the public name list is exact, and
+every public function and class has a docstring of its own."""
 
 import ast
 import collections
@@ -298,6 +299,46 @@ def test_the_checker_finds_bom_blind_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_files_are_read_as_utf8_sig(path):
     assert bom_blind_reads(path.read_text(encoding="utf-8")) == []
+
+
+FLOAT_NAMES = ("float", "float64", "double")
+
+
+def float_conversions(source: str) -> list[str]:
+    """``np.asarray`` or ``np.array`` calls that ask for ``dtype=float`` (as
+    a keyword or the second argument, by name or string), by line: such a
+    call turns complex input into its real part and raises numpy's own
+    errors on text or ragged rows."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array")):
+            continue
+        dtypes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        names = [getattr(t, "id", None) or getattr(t, "attr", None) or getattr(t, "value", None)
+                 for t in dtypes]
+        if any(name in FLOAT_NAMES for name in names):
+            found.append(f"{node.func.attr} (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_float_conversions():
+    source = ("np.asarray(x, dtype=float)\n"
+              "np.array(y, float)\n"
+              "numpy.asarray(z, dtype=np.float64)\n"
+              "np.asarray(w, dtype='float')\n"
+              "np.asarray(x)\n"
+              "np.array(parallel_map(fn, items)).T\n"
+              "np.asarray(x, dtype=np.intp)\n"
+              "x.astype(float)\n")
+    assert float_conversions(source) == ["asarray (line 1)", "array (line 2)",
+                                         "asarray (line 3)", "asarray (line 4)"]
+
+
+@pytest.mark.parametrize("name", ["nn_graph.py", "rank_xi.py", "dep_tests.py"])
+def test_samples_become_floats_through_one_helper(name):
+    # the points and responses reach these modules as the caller sent them
+    assert float_conversions((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manifold_xi import (
@@ -15,6 +15,7 @@ from manifold_xi import (
     ScenarioSpec,
     build_nn_graph,
     count_motifs,
+    dcor_stats,
     estimate_constants_empirical,
     generate,
     nn_pair_limit,
@@ -523,14 +524,70 @@ class TestMaxInDegreeBounded:
 
 
 class TestOverflowingDistances:
-    def test_nearest_distance_overflow_is_refused(self):
-        x = np.random.default_rng(20).random((120, 2)) * 1e160
-        with pytest.raises(InvalidInputError, match="nearest neighbor overflows"):
-            build_nn_graph(x)
+    """``build_nn_graph`` runs the kernel on the cloud ``_prescaled`` gives:
+    a cloud whose largest coordinate is beyond ``2**±256`` is scaled to one
+    in ``[1/2, 1)`` by an exact power of two."""
+
+    def test_far_out_clouds_keep_their_graph(self):
+        # unprescaled, x * 1e160 loses the tree's neighbors to overflow and
+        # x * 1e-170 ties every row at an underflowed zero
+        x = np.random.default_rng(20).random((120, 2))
+        expected = build_nn_graph(x).nn_index
+        for scale in (1e160, 1e-170, 2.0**600, 2.0**-600):
+            scaled = x * scale
+            got = build_nn_graph(scaled).nn_index
+            np.testing.assert_array_equal(got, _nn_brute(nn_graph._prescaled(scaled)[0]))
+            np.testing.assert_array_equal(got, expected)
+
+    def test_in_band_clouds_reach_the_kernel_as_given(self, monkeypatch):
+        received, kernel = [], nn_graph._nn_tree
+        monkeypatch.setattr(nn_graph, "_nn_tree",
+                            lambda pts: received.append(pts) or kernel(pts))
+        x = np.random.default_rng(26).random((50, 3))
+        assert 0.5 <= x.max() < 1.0
+        for pts in (x, x * 2.0**256, x * 2.0**-256):  # within the band: no copy
+            build_nn_graph(pts)
+            assert received.pop() is pts
+        for k in (257, -257):
+            build_nn_graph(x * 2.0**k)
+            assert np.array_equal(received.pop(), x)
+
+    def test_a_tiny_cloud_takes_no_all_rows_round(self, monkeypatch):
+        # unprescaled, every row of this cloud ties at an underflowed zero,
+        # so no candidate list proves a row and each meets all n rows
+        rounds, verified = [], nn_graph._verified_candidates
+
+        def spy(tree, pts, cols, rows, k):
+            rounds.append(k)
+            return verified(tree, pts, cols, rows, k)
+
+        monkeypatch.setattr(nn_graph, "_verified_candidates", spy)
+        x = np.random.default_rng(25).random(4000)
+        got = build_nn_graph(x * 2.0**-545).nn_index
+        assert rounds and max(rounds) < len(x)
+        np.testing.assert_array_equal(got, build_nn_graph(x).nn_index)
+
+    @given(st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64)),
+                    min_size=4, max_size=30),
+           st.integers(-1100, 1100))
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_changes_nothing(self, rows, k):
+        # wherever 2**k * x is exact, its squared distances are those of x
+        # times 4**k, or the prescale takes it back to x itself
+        x = np.array(rows, dtype=float)
+        assume(x.any())
+        x = np.ldexp(x, -int(np.frexp(np.abs(x).max())[1]))  # largest |coordinate| in [1/2, 1)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(x, k)
+        assume(np.array_equal(np.ldexp(scaled, -k), x))  # finite, none subnormal
+        y = np.arange(len(x)) * 5.0 % 7.0
+        assert np.array_equal(build_nn_graph(scaled).nn_index, build_nn_graph(x).nn_index)
+        assert xi_n(scaled, y) == xi_n(x, y)
+        assert dcor_stats(scaled, y).dcor2 == dcor_stats(x, y).dcor2
 
     def test_overflow_beyond_the_nearest_neighbor_is_skipped(self):
-        # pairs of rows 1e160 apart: every row's nearest is close, but the
-        # tree's third candidate is out of reach and comes back as index n
+        # pairs of rows 1e160 apart: every row's nearest is close, while the
+        # tree's third candidate was out of reach before the prescale
         rng = np.random.default_rng(21)
         for d in (1, 2, 3):
             pairs = [centre + rng.random((2, d)) * 1e150
