@@ -36,7 +36,7 @@ TAILS = ("right", "two_sided")  # rejection tails of the asymptotic test
 DEFAULT_PERMUTATIONS = 199
 MIN_PERMUTATIONS = 19  # the permutation tests' floor on B
 
-_DCOR_BLOCK_ENTRIES = 2**17  # bound on (permutations x n x n) dcor scratch
+_PERMUTATION_BLOCK_ENTRIES = 2**17  # bound on (permutations x n x n) per block
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     ------
     InvalidInputError
         If ``x`` or ``y`` is malformed (checked before the constants) or
-        ``constants`` are for another ``m``.
+        ``constants`` are not :class:`NullConstants` for this ``m``.
     DegenerateInputError
         If ``y`` is constant; the statistic is meaningless there.
     TieError
@@ -106,6 +106,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
+    elif not isinstance(constants, NullConstants):
+        raise InvalidInputError(f"constants must be NullConstants, got {type(constants).__name__}")
     elif constants.m != m:
         raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
     _, _, value = _xi_statistic(cloud, ranks, sizes)
@@ -119,42 +121,59 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
                       reject=p <= alpha, alpha=alpha, z_score=z, m_used=m)
 
 
+def _block_rows(n: int, B: int) -> int:
+    """Draws per block: at most ``_PERMUTATION_BLOCK_ENTRIES`` (n, n) entries, at least one."""
+    return max(1, min(B, _PERMUTATION_BLOCK_ENTRIES // (n * n)))
+
+
+def _permuted_p(method: str, statistic: float, rng, values: np.ndarray, exceedances,
+                alpha: float, B: int, seed, stop: bool) -> TestResult:
+    """The permutation loop of both permutation tests.
+
+    ``exceedances(z)`` counts the rows of a block ``z`` of relabelled
+    ``values`` whose statistic reaches the observed one.  The rows are the
+    ``B`` successive ``rng.permutation(n)`` draws (the stream of one
+    ``(B, n)`` call), permuted in place in one reused buffer, and
+    ``p = (1 + k) / (B + 1)`` with ``k`` the total count.  Only the
+    simulation harness, which reads nothing but ``reject``, sets ``stop``:
+    the loop then ends after the first block at which the decision not to
+    reject is fixed, and the p-value is a lower bound above ``alpha``.
+    """
+    z = np.empty((_block_rows(values.shape[0], B), values.shape[0]), values.dtype)
+    exceed = 0
+    for start in range(0, B, len(z)):
+        if stop and (1.0 + exceed) / (B + 1.0) > alpha:
+            break
+        block = z[:B - start]
+        block[...] = values
+        rng.permuted(block, axis=1, out=block)
+        exceed += exceedances(block)
+    p = (1.0 + exceed) / (B + 1.0)
+    return TestResult(method=method, statistic=statistic, p_value=p,
+                      reject=p <= alpha, alpha=alpha, B=B, seed=seed)
+
+
 def xi_test_permutation(x, y, alpha: float = 0.05,
                         B: int = DEFAULT_PERMUTATIONS, seed=0, *,
                         _stop_at_decision: bool = False) -> TestResult:
     """Permutation test on the coefficient, graph built once.
 
-    The NN graph depends only on ``x``, so each of the ``B`` permutations
-    just shuffles a copy of the rank vector in one reused buffer
-    (``rng.shuffle``, the same values as ``rng.permuted(ranks)`` and
-    ``ranks[rng.permutation(n)]``).  The comparison runs on the exact
-    integer rank sums, and ``p = (1 + #{b : xi_b >= xi_obs}) / (B + 1)``,
-    so p-values live on the lattice ``{1/(B+1), ..., 1}``.  On tied
-    responses the statistic is ``T_n`` (see :mod:`manifold_xi.rank_xi`),
-    which is increasing in the rank sum, so the p-value is the same.  A
-    constant response raises :class:`DegenerateInputError`.
-
-    Every call draws all ``B`` permutations and returns the exact p-value.
-    Only the simulation harness, which reads nothing but ``reject``, asks
-    (through a private argument) to stop once the decision not to reject is
-    fixed; it then gets ``reject=False`` and a lower bound above ``alpha``
-    as the p-value, so its rejection counts are the full-``B`` ones.
+    The NN graph depends only on ``x``, so each permutation of
+    :func:`_permuted_p` just relabels the ranks, and a block of them is
+    compared at once on the exact integer rank sums.  On tied responses the
+    statistic is ``T_n`` (see :mod:`manifold_xi.rank_xi`), which is
+    increasing in the rank sum, so the p-value is the same.  A constant
+    response raises :class:`DegenerateInputError`.
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
     rng = substream(seed)
     cloud, ranks, sizes = _xi_sample(x, y)
     nn, observed, value = _xi_statistic(cloud, ranks, sizes)
-    exceed, shuffled = 0, np.empty_like(ranks)
-    for _ in range(B):
-        if _stop_at_decision and (1.0 + exceed) / (B + 1.0) > alpha:
-            break
-        np.copyto(shuffled, ranks)
-        rng.shuffle(shuffled)
-        exceed += int(np.minimum(shuffled, shuffled[nn]).sum()) >= observed
-    p = (1.0 + exceed) / (B + 1.0)
-    return TestResult(method="xi_permutation", statistic=value, p_value=p,
-                      reject=p <= alpha, alpha=alpha, B=B, seed=seed)
+    return _permuted_p(
+        "xi_permutation", value, rng, ranks,
+        lambda z: int((np.minimum(z, z.take(nn, axis=1)).sum(axis=1) >= observed).sum()),
+        alpha, B, seed, _stop_at_decision)
 
 
 def _centred_distances(a: np.ndarray) -> np.ndarray:
@@ -263,8 +282,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     The centred distance matrix ``a`` of ``x`` is computed once; permuting
     the sample relabels rows and columns of the centred ``y`` matrix ``b``,
     which leaves both normalisers invariant, so only the cross product
-    ``mean(a * b[p][:, p])`` changes.  The p-value is ``(1 + k) / (B + 1)``
-    with ``k`` the number of permutations whose cross product is at least
+    ``mean(a * b[p][:, p])`` changes; a permutation counts when it reaches
     the observed one, all on the :func:`_prescaled` samples.
 
     No permuted copy of ``b`` is built.  Because ``a`` is double-centred,
@@ -275,17 +293,9 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     on the centring terms that vanish only in exact arithmetic (see
     :func:`_dcor_slack`); any permutation inside the bound is re-decided
     with the exact cross product, so the p-value is the one the direct
-    loop gives.  Permutations are the ``B`` successive
-    ``substream(seed).permutation(n)`` draws, drawn block by block with
-    ``rng.permuted`` (the same stream as one ``(B, n)`` call), and each block
-    of fast values fills at most ``_DCOR_BLOCK_ENTRIES`` scratch entries.
-
-    Every call draws all ``B`` permutations and returns the exact p-value.
-    Only the simulation harness, which reads nothing but ``reject``, asks
-    (through a private argument) to stop after the first block at which the
-    decision not to reject is fixed; it then gets ``reject=False`` and a
-    lower bound above ``alpha`` as the p-value, so its rejection counts are
-    the full-``B`` ones.
+    loop gives.  The permutations, the p-value and the harness's stop rule
+    are those of :func:`_permuted_p`; the fill scratch of one block is
+    allocated once per test.
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
@@ -299,8 +309,7 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
     slack = _dcor_slack(a, y)  # before the permutation scratch exists
-    block = max(1, min(B, _DCOR_BLOCK_ENTRIES // (n * n)))
-    identities = np.tile(np.arange(n), (block, 1))
+    block = _block_rows(n, B)
     # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
     # are exact, so each entry is the rounded z_i - z_j, and BLAS fills it
     # several times faster than a broadcast subtraction.
@@ -308,26 +317,21 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     rhs = np.ones((block, 2, n))
     scratch = np.empty((block, n, n))
     a_flat = a.ravel()
-    exceed = 0
-    for start in range(0, B, block):
-        if _stop_at_decision and (1.0 + exceed) / (B + 1.0) > alpha:
-            break
-        perms = rng.permuted(identities[:B - start], axis=1)
+
+    def exceedances(perms: np.ndarray) -> int:
+        m = len(perms)
         z = y[perms]
-        m = len(z)
         lhs[:m, :, 0] = z
         np.negative(z, out=rhs[:m, 1])
         dist = np.matmul(lhs[:m], rhs[:m], out=scratch[:m])
         np.abs(dist, out=dist)
         gap = dist.reshape(m, -1) @ a_flat - n * n * observed
         above = gap > slack
-        exceed += int(above.sum())
-        for i in np.flatnonzero(~(above | (gap < -slack))):
-            exceed += _permuted_cross(a, b, perms[i]) >= observed
-    p = (1.0 + exceed) / (B + 1.0)
-    stat = min(max(observed, 0.0) / norm, 1.0)
-    return TestResult(method="dcor_permutation", statistic=stat, p_value=p,
-                      reject=p <= alpha, alpha=alpha, B=B, seed=seed)
+        return int(above.sum()) + sum(_permuted_cross(a, b, perms[i]) >= observed
+                                      for i in np.flatnonzero(~(above | (gap < -slack))))
+
+    return _permuted_p("dcor_permutation", min(max(observed, 0.0) / norm, 1.0), rng,
+                       np.arange(n), exceedances, alpha, B, seed, _stop_at_decision)
 
 
 def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
@@ -341,8 +345,8 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
     (``m`` may be ``None``), so a bad value is refused even where the
     method ignores it.  The permutation tests draw all ``B`` permutations;
     the private ``_stop_at_decision`` is the simulation harness's request to
-    stop each one once its decision is fixed (see the two tests), forwarded
-    unchanged.
+    stop each one once its decision is fixed (see :func:`_permuted_p`),
+    forwarded unchanged.
     """
     check_choice("method", method, METHODS)
     if m is not None:
@@ -354,11 +358,8 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
         if m is None:
             raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
         return xi_test_asymptotic(x, y, m, alpha, tail=tail)
-    if method == "xi_permutation":
-        return xi_test_permutation(x, y, alpha, B=B, seed=seed,
-                                   _stop_at_decision=_stop_at_decision)
-    return dcor_test_permutation(x, y, alpha, B=B, seed=seed,
-                                 _stop_at_decision=_stop_at_decision)
+    test = xi_test_permutation if method == "xi_permutation" else dcor_test_permutation
+    return test(x, y, alpha, B=B, seed=seed, _stop_at_decision=_stop_at_decision)
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

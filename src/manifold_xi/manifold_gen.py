@@ -35,7 +35,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
+from .errors import (
+    DatasetFormatError,
+    InvalidInputError,
+    as_real_array,
+    check_choice,
+    check_int,
+    check_real,
+)
 from .rngs import substream
 
 CASES = ("gaussian", "linear", "quadratic", "cosine", "wshape")
@@ -46,7 +53,7 @@ ADDITIVE_NOISE = {"linear": 0.2, "quadratic": 0.1, "cosine": 0.1, "wshape": 0.02
 
 def wshape(x):
     """W-shaped link: ``|x + 0.5|`` left of zero, ``|x - 0.5|`` from zero on."""
-    x = np.asarray(x, dtype=float)
+    x = as_real_array("x", x)
     return np.where(x < 0, np.abs(x + 0.5), np.abs(x - 0.5))
 
 
@@ -137,7 +144,7 @@ def linear_embedding_matrix(m: int, r_seed: int = 0) -> np.ndarray:
 
 def embed_linear(z: np.ndarray, r_seed: int = 0) -> np.ndarray:
     """Map latent rows through the fixed linear embedding: ``x_i = R z_i``."""
-    z = np.asarray(z, dtype=float)
+    z = as_real_array("z", z)
     r = linear_embedding_matrix(z.shape[1], r_seed)
     return z @ r.T
 
@@ -149,7 +156,7 @@ def embed_manifold(z: np.ndarray) -> np.ndarray:
     cos(4 pi z), exp(z)]``; block 1 is the identity, so the map is
     injective and the output rank equals the latent dimension.
     """
-    z = np.asarray(z, dtype=float)
+    z = as_real_array("z", z)
     return np.hstack([
         z,
         z**2,
@@ -181,9 +188,11 @@ def matrix_hash(a: np.ndarray) -> str:
 
 
 def write_dataset_csv(stream, x: np.ndarray, y: np.ndarray) -> None:
-    """Write a dataset as CSV with header ``y,x1..xD`` at full precision."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Write a dataset as CSV with header ``y,x1..xD`` at full precision.
+    ``x`` and ``y`` must be real and ``y`` 1-D, or ``InvalidInputError`` names them."""
+    x, y = as_real_array("x", x), as_real_array("y", y)
+    if y.ndim != 1:
+        raise InvalidInputError(f"y must be 1-D, got ndim={y.ndim}")
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != y.shape[0]:

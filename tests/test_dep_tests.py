@@ -162,6 +162,15 @@ class TestXiAsymptotic:
         with pytest.raises(InvalidInputError, match="constants are for m=1, not m=3"):
             xi_test_asymptotic(x, y, m=3, constants=EXACT_1D)
 
+    @pytest.mark.parametrize("bad", ["bad", {"m": 2, "sigma2": 0.8}, 2.0])
+    def test_constants_of_another_type_refused(self, bad):
+        rng = np.random.default_rng(34)
+        x, y = rng.random((30, 2)), rng.random(30)
+        with pytest.raises(InvalidInputError, match="constants must be NullConstants"):
+            xi_test_asymptotic(x, y, 2, constants=bad)
+        with pytest.raises(TieError):  # the tie check comes first
+            xi_test_asymptotic(x, np.round(y, 1), 2, constants=bad)
+
     def test_bad_x_refused_before_the_constants(self, monkeypatch):
         def fail(m):
             raise AssertionError("null constants fetched before x was validated")
@@ -294,6 +303,15 @@ class TestXiPermutation:
             exceed += int(np.minimum(r, r[nn]).sum()) >= observed
         assert xi_test_permutation(x, y, B=99, seed=4).p_value == (1 + exceed) / 100
 
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "duplicate_x"])
+    @pytest.mark.parametrize("B", [19, 199])
+    @pytest.mark.parametrize("n", [4, 30, 100, 256, 257, 1000])
+    def test_p_value_equals_the_shuffle_replay(self, n, B, kind):
+        # blocks of 13 draws at n = 100 and 2 at n = 256, one draw from 257 on
+        x, y = dcor_case(kind, n, np.random.default_rng(n))
+        res = xi_test_permutation(x, y, B=B, seed=n + B)
+        assert res.p_value == (1 + sum(xi_shuffle_hits(x, y, B, n + B))) / (B + 1)
+
 
 class TestOneResponsePath:
     @pytest.fixture
@@ -360,6 +378,7 @@ class TestRefusedBeforeTheGraph:
             (TieError, lambda: xi_n(x, tied, strict=True)),
             (TieError, lambda: xi_test_asymptotic(x, tied, m=1, constants=EXACT_1D)),
             (InvalidInputError, lambda: xi_test_asymptotic(x, y, m=3, constants=EXACT_1D)),
+            (InvalidInputError, lambda: xi_test_asymptotic(x, y, m=1, constants="bad")),
         ]
         for error, call in refusals:
             with pytest.raises(error):
@@ -550,29 +569,23 @@ class TestDcorPermutation:
             assert all(np.array_equal(batched[start:start + block],
                                       rng.permuted(tile[:B - start], axis=1))
                        for start in range(0, B, block))
+            # the permutation tests' one loop refills and permutes one buffer in place
+            buf, rng = np.empty_like(tile), substream(11)
+            for start in range(0, B, block):
+                z = buf[:B - start]
+                z[...] = np.arange(n)
+                assert rng.permuted(z, axis=1, out=z) is z
+                assert np.array_equal(batched[start:start + block], z)
 
     @pytest.mark.parametrize("n", [2, 100, 10**5])
     def test_permuted_ranks_match_gathered_permutations(self, n):
-        # The xi permutation test shuffles the ranks themselves; its p-values
+        # The xi permutation test permutes the ranks themselves; its p-values
         # equal the index-gather loop's only while these draws agree.
         ranks = np.arange(n, 0, -1) // 2  # tied, and not in index order
         shuffled, gathered = substream(13), substream(13)
         for _ in range(3):
             assert np.array_equal(shuffled.permuted(ranks),
                                   ranks[gathered.permutation(n)])
-
-    @pytest.mark.parametrize("n", [3, 100, 10**4])
-    def test_shuffled_buffer_matches_permuted_ranks(self, n):
-        # The xi permutation test refills and shuffles one buffer per draw;
-        # its p-values equal rng.permuted's only while these draws agree.
-        ranks = np.arange(n, 0, -1) // 2
-        shuffled, permuted = substream(14), substream(14)
-        buf = np.empty_like(ranks)
-        for _ in range(5):
-            np.copyto(buf, ranks)
-            shuffled.shuffle(buf)
-            assert np.array_equal(buf, permuted.permuted(ranks))
-        assert shuffled.random() == permuted.random()  # the streams stay aligned
 
     def test_null_size_is_honest(self):
         rng = np.random.default_rng(20)
@@ -592,13 +605,9 @@ class CountingStream:
     def __init__(self, rng):
         self.rng, self.drawn = rng, 0
 
-    def permuted(self, x, axis):
+    def permuted(self, x, axis, out=None):
         self.drawn += len(x)
-        return self.rng.permuted(x, axis=axis)
-
-    def shuffle(self, x):
-        self.drawn += 1
-        self.rng.shuffle(x)
+        return self.rng.permuted(x, axis=axis, out=out)
 
 
 @pytest.fixture
@@ -624,8 +633,8 @@ class TestStopAtDecision:
     @pytest.mark.parametrize("B", [19, 199])
     @pytest.mark.parametrize("sample", ["null", "dependent"])
     def test_stops_at_the_first_draw_above_alpha(self, sample, B, alpha, draws):
-        # Replayed outside the tests: the xi test stops after exactly t
-        # shuffles, the dcor test at the first block boundary at or after t.
+        # Replayed outside the tests: both tests stop at the first block
+        # boundary at or after the first draw t above alpha.
         rng = np.random.default_rng(21)
         x = rng.random((30, 2))
         y = rng.random(30) if sample == "null" else x[:, 0] + 0.3 * rng.random(30)
@@ -633,8 +642,8 @@ class TestStopAtDecision:
         t_dcor = first_stop(dcor_gather_hits(x, y, B, 7)[1], alpha, B)
         xi_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
         dcor_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
-        block = min(B, dep_tests._DCOR_BLOCK_ENTRIES // 30**2)
-        assert draws[0].drawn == t_xi
+        block = min(B, dep_tests._PERMUTATION_BLOCK_ENTRIES // 30**2)
+        assert draws[0].drawn == min(B, -(-t_xi // block) * block)
         assert draws[1].drawn == min(B, -(-t_dcor // block) * block)
 
     @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
@@ -682,7 +691,7 @@ class TestStopAtDecision:
         strong = test(x, x[:, 0] + 0.01 * rng.random(100), 0.05, B=199,
                       _stop_at_decision=True)
         assert not null.reject and strong.reject
-        block = dep_tests._DCOR_BLOCK_ENTRIES // 100**2  # 13 rows at n = 100
+        block = dep_tests._PERMUTATION_BLOCK_ENTRIES // 100**2  # 13 rows at n = 100
         assert draws[0].drawn <= 199 - 199 % block  # never reached the last block
         assert draws[1].drawn == 199
 

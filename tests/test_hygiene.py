@@ -4,10 +4,11 @@
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
-at its decision, only ``rank_xi`` assembles the coefficient and builds its
-graph, files are read as ``utf-8-sig``, caller samples become floats only
-through ``errors.as_real_array``, the public name list is exact, and
-every public function and class has a docstring of its own."""
+at its decision, only one loop draws permutations, only ``rank_xi``
+assembles the coefficient and builds its graph, files are read as
+``utf-8-sig``, caller samples become floats only through
+``errors.as_real_array``, the public name list is exact, and every public
+function and class has a docstring of its own."""
 
 import ast
 import collections
@@ -231,6 +232,54 @@ def test_the_stop_argument_stays_private():
                                    (inspect.Parameter.KEYWORD_ONLY, False))
 
 
+DRAWS = ("shuffle", "permuted", "permutation")
+PERMUTATION_LOOP = "_permuted_p"
+
+
+def permutation_draws(source: str) -> list[str]:
+    """References to a ``shuffle``, ``permuted`` or ``permutation``
+    attribute (a generator's permutation draws), by the innermost function
+    around them (``<module>`` outside any) and line."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in DRAWS:
+                found.append(f"{child.attr} in {owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_checker_finds_permutation_draws():
+    source = ("def _permuted_p(rng, z):\n"
+              "    rng.permuted(z, axis=1, out=z)\n"
+              "def other(rng, x):\n"
+              "    rng.shuffle(x)\n"
+              "    def inner():\n"
+              "        return np.random.permutation(3)\n"
+              "    draw = rng.permuted\n"
+              "rng.permutation(4)\n"
+              "'rng.shuffle(x)'\n")
+    assert permutation_draws(source) == [
+        "permuted in _permuted_p (line 2)", "shuffle in other (line 4)",
+        "permutation in inner (line 6)", "permuted in other (line 7)",
+        "permutation in <module> (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_loop_draws_the_permutations(path):
+    # Both permutation tests draw, stop and score in dep_tests' one loop, so
+    # a second loop (a per-draw shuffle, say) cannot come back.
+    owners = {entry.split()[2] for entry in
+              permutation_draws(path.read_text(encoding="utf-8"))}
+    assert owners == ({PERMUTATION_LOOP} if path.name == "dep_tests.py" else set())
+
+
 ASSEMBLY = ("build_nn_graph", "_xi_sample", "_xi_statistic")
 
 
@@ -335,7 +384,8 @@ def test_the_checker_finds_float_conversions():
                                          "asarray (line 3)", "asarray (line 4)"]
 
 
-@pytest.mark.parametrize("name", ["nn_graph.py", "rank_xi.py", "dep_tests.py"])
+@pytest.mark.parametrize("name", ["nn_graph.py", "rank_xi.py", "dep_tests.py",
+                                  "manifold_gen.py"])
 def test_samples_become_floats_through_one_helper(name):
     # the points and responses reach these modules as the caller sent them
     assert float_conversions((PACKAGE / name).read_text(encoding="utf-8")) == []

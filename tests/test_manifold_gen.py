@@ -281,6 +281,12 @@ class TestDatasetCsv:
         with pytest.raises(DatasetFormatError, match="line 1"):
             read_dataset_csv(io.StringIO(""))
 
+    def test_response_must_be_one_dimensional(self):
+        buf = io.StringIO()
+        with pytest.raises(InvalidInputError, match="y must be 1-D"):
+            write_dataset_csv(buf, np.zeros((3, 1)), np.zeros((3, 1)))
+        assert buf.getvalue() == ""
+
     def test_sidecar_metadata_includes_r_hash_for_linear(self):
         spec = ScenarioSpec("linear", "linear_embed", m=2, rho=0.1, n=10,
                             seed=12, r_seed=3)
@@ -291,3 +297,23 @@ class TestDatasetCsv:
         meta_id = scenario_metadata(ScenarioSpec("linear", "identity", m=2,
                                                  rho=0.1, n=10))
         assert "r_matrix_hash" not in meta_id
+
+
+class TestNonRealInput:
+    """Array arguments that are not real numbers are refused, never cast."""
+
+    @pytest.mark.parametrize("bad", [np.array([[1 + 1j], [2], [3]]), [["a"], ["b"], ["c"]],
+                                     [[1.0], [2.0, 3.0], [4.0]]],
+                             ids=["complex", "text", "ragged"])
+    @pytest.mark.parametrize("call, name", [
+        (wshape, "x"),
+        (embed_linear, "z"),
+        (embed_manifold, "z"),
+        (lambda v: write_dataset_csv(io.StringIO(), v, [1.0, 2.0, 3.0]), "x"),
+        (lambda v: write_dataset_csv(io.StringIO(), [[1.0], [2.0], [3.0]], v), "y"),
+    ], ids=["wshape", "embed_linear", "embed_manifold", "csv_x", "csv_y"])
+    def test_each_array_argument_refuses(self, call, name, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(InvalidInputError, match=f"^{name} must hold real numbers"):
+                call(bad)
