@@ -6,8 +6,8 @@ deviation for the known intrinsic dimension ``m`` and rejects in the right
 tail: the coefficient's population value is zero exactly under
 independence and positive under dependence, so all the power lives on the
 right.  The permutation variants are exact-level fallbacks that need no
-dimension at all.  Both xi tests take the coefficient, and the NN graph
-under it, from :mod:`manifold_xi.rank_xi`, which alone assembles it.
+dimension at all.  Every test runs on a sample, and both xi tests take
+the coefficient on it, from :mod:`manifold_xi.rank_xi`, which alone assembles it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .nn_graph import _pairwise_sqdist, _prescaled
 from .null_constants import NullConstants, default_null_constants
-from .rank_xi import _validate_pair, _xi_sample, _xi_statistic
+from .rank_xi import _Sample, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
 
 METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
@@ -101,8 +101,11 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     _check_alpha(alpha)
     check_int("m", m, 1)
     check_choice("tail", tail, TAILS)
-    cloud, ranks, sizes = _xi_sample(x, y)
-    if sizes.max() > 1:
+    return _xi_asymptotic(_xi_sample(x, y), m, alpha, constants, tail)
+
+
+def _xi_asymptotic(sample: _Sample, m: int, alpha: float, constants, tail: str) -> TestResult:
+    if sample.sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
@@ -110,8 +113,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         raise InvalidInputError(f"constants must be NullConstants, got {type(constants).__name__}")
     elif constants.m != m:
         raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
-    _, _, value = _xi_statistic(cloud, ranks, sizes)
-    z = math.sqrt(cloud.n) * value / math.sqrt(constants.sigma2)
+    _, _, value = _xi_statistic(sample)
+    z = math.sqrt(sample.cloud.n) * value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.
     if tail == "right":
         p = float(special.ndtr(-z))
@@ -126,19 +129,20 @@ def _block_rows(n: int, B: int) -> int:
     return max(1, min(B, _PERMUTATION_BLOCK_ENTRIES // (n * n)))
 
 
-def _permuted_p(method: str, statistic: float, rng, values: np.ndarray, exceedances,
+def _permuted_p(method: str, statistic: float, values: np.ndarray, exceedances,
                 alpha: float, B: int, seed, stop: bool) -> TestResult:
     """The permutation loop of both permutation tests.
 
     ``exceedances(z)`` counts the rows of a block ``z`` of relabelled
     ``values`` whose statistic reaches the observed one.  The rows are the
-    ``B`` successive ``rng.permutation(n)`` draws (the stream of one
-    ``(B, n)`` call), permuted in place in one reused buffer, and
+    ``B`` successive ``substream(seed).permutation(n)`` draws (the stream
+    of one ``(B, n)`` call), permuted in place in one reused buffer, and
     ``p = (1 + k) / (B + 1)`` with ``k`` the total count.  Only the
     simulation harness, which reads nothing but ``reject``, sets ``stop``:
     the loop then ends after the first block at which the decision not to
     reject is fixed, and the p-value is a lower bound above ``alpha``.
     """
+    rng = substream(seed)
     z = np.empty((_block_rows(values.shape[0], B), values.shape[0]), values.dtype)
     exceed = 0
     for start in range(0, B, len(z)):
@@ -154,8 +158,7 @@ def _permuted_p(method: str, statistic: float, rng, values: np.ndarray, exceedan
 
 
 def xi_test_permutation(x, y, alpha: float = 0.05,
-                        B: int = DEFAULT_PERMUTATIONS, seed=0, *,
-                        _stop_at_decision: bool = False) -> TestResult:
+                        B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
     """Permutation test on the coefficient, graph built once.
 
     The NN graph depends only on ``x``, so each permutation of
@@ -167,30 +170,33 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
-    rng = substream(seed)
-    cloud, ranks, sizes = _xi_sample(x, y)
-    nn, observed, value = _xi_statistic(cloud, ranks, sizes)
+    check_seed(seed)
+    return _xi_permutation(_xi_sample(x, y), alpha, B, seed)
+
+
+def _xi_permutation(sample: _Sample, alpha: float, B: int, seed,
+                    _stop_at_decision: bool = False) -> TestResult:
+    nn, observed, value = _xi_statistic(sample)
     return _permuted_p(
-        "xi_permutation", value, rng, ranks,
+        "xi_permutation", value, sample.ranks,
         lambda z: int((np.minimum(z, z.take(nn, axis=1)).sum(axis=1) >= observed).sum()),
         alpha, B, seed, _stop_at_decision)
 
 
-def _centred_distances(a: np.ndarray) -> np.ndarray:
+def _centred_distances(a: np.ndarray, sqdist: np.ndarray | None = None) -> np.ndarray:
     """Double-centred Euclidean distance matrix of the rows of ``a``.
 
-    The squared distances come from the row-blocked
-    :func:`_pairwise_sqdist`, which adds the squared coordinate differences
-    in numpy's pairwise-summation order (a tier-1 test pins it to
-    numpy's), so the matrix equals the broadcast
-    ``sqrt((diff * diff).sum(-1))`` bit for bit.  The square root and the
-    centring ``((D - row means) - column means) + grand mean`` run in place
-    on that one ``(n, n)`` matrix; ``a`` is :func:`_prescaled` first.
+    The squared distances are ``sqdist`` (shared: never modified) or come
+    from :func:`_pairwise_sqdist`, which adds the squared coordinate
+    differences in numpy's pairwise-summation order (a tier-1 test pins it
+    to numpy's), so the matrix equals the broadcast ``sqrt((diff *
+    diff).sum(-1))`` bit for bit.  The square root of a matrix computed
+    here and the centring ``((D - row means) - column means) + grand mean``
+    run in place; ``a`` is :func:`_prescaled` first.
     """
-    if a.ndim == 1:
-        a = a[:, None]
-    d = _pairwise_sqdist(a)
-    np.sqrt(d, out=d)
+    own = sqdist is None
+    d = _pairwise_sqdist(a[:, None] if a.ndim == 1 else a) if own else sqdist
+    d = np.sqrt(d, out=d if own else None)
     row_mean, col_mean = d.mean(axis=1, keepdims=True), d.mean(axis=0, keepdims=True)
     grand_mean = d.mean()
     d -= row_mean
@@ -199,13 +205,13 @@ def _centred_distances(a: np.ndarray) -> np.ndarray:
     return d
 
 
-def _dcor_parts(points: np.ndarray, y: np.ndarray
+def _dcor_parts(points: np.ndarray, y: np.ndarray, sqdist: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
-    """Centred distance matrices ``a`` and ``b`` of a validated pair, the
-    cross product ``mean(a * b)``, the distance variances of ``x`` and
-    ``y``, and their geometric mean (the normaliser).  The three products
-    are formed in one reused ``(n, n)`` buffer."""
-    a = _centred_distances(points)
+    """Centred distance matrices ``a`` (from ``sqdist`` if given) and ``b`` of
+    a validated pair, the cross product ``mean(a * b)``, the distance
+    variances of ``x`` and ``y``, and their geometric mean (the normaliser).
+    The three products are formed in one reused ``(n, n)`` buffer."""
+    a = _centred_distances(points, sqdist)
     b = _centred_distances(y)
     product = np.multiply(a, a)
     dvar_x = float(product.mean())
@@ -224,8 +230,8 @@ def dcor_stats(x, y) -> DistanceCorrelation:
     :func:`_prescaled` samples give ``dcov2`` and ``dvar_*`` scaled back
     exactly: ``inf`` above the float range, ``0`` below it.
     """
-    cloud, y, _ = _validate_pair(x, y, min_n=4)
-    (points, ex), (y, ey) = map(_prescaled, (cloud.points, y))
+    sample = _xi_sample(x, y, xi=False, dcor=True)
+    (points, ex), (y, ey) = map(_prescaled, (sample.cloud.points, sample.y))
     _, _, cross, dvar_x, dvar_y, norm = _dcor_parts(points, y)
     dcov2 = max(cross, 0.0)
     dcor2 = min(max(dcov2 / norm, 0.0), 1.0) if norm > 0.0 else 0.0
@@ -275,8 +281,7 @@ def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
 
 
 def dcor_test_permutation(x, y, alpha: float = 0.05,
-                          B: int = DEFAULT_PERMUTATIONS, seed=0, *,
-                          _stop_at_decision: bool = False) -> TestResult:
+                          B: int = DEFAULT_PERMUTATIONS, seed=0) -> TestResult:
     """Permutation test on the squared distance correlation.
 
     The centred distance matrix ``a`` of ``x`` is computed once; permuting
@@ -299,11 +304,15 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     """
     _check_alpha(alpha)
     check_int("B", B, MIN_PERMUTATIONS)
-    rng = substream(seed)
-    cloud, y, _ = _validate_pair(x, y, min_n=4)
-    (points, _), (y, _) = map(_prescaled, (cloud.points, y))
-    a, b, observed, _, _, norm = _dcor_parts(points, y)
-    n = cloud.n
+    check_seed(seed)
+    return _dcor_permutation(_xi_sample(x, y, xi=False, dcor=True), alpha, B, seed)
+
+
+def _dcor_permutation(sample: _Sample, alpha: float, B: int, seed,
+                      _stop_at_decision: bool = False) -> TestResult:
+    (points, _), (y, _) = map(_prescaled, (sample.cloud.points, sample.y))
+    a, b, observed, _, _, norm = _dcor_parts(points, y, sample.sqdist)
+    n = y.shape[0]
     if norm <= 0.0:
         # Degenerate input: every permuted statistic equals the observed 0.
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
@@ -330,23 +339,20 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
         return int(above.sum()) + sum(_permuted_cross(a, b, perms[i]) >= observed
                                       for i in np.flatnonzero(~(above | (gap < -slack))))
 
-    return _permuted_p("dcor_permutation", min(max(observed, 0.0) / norm, 1.0), rng,
+    return _permuted_p("dcor_permutation", min(max(observed, 0.0) / norm, 1.0),
                        np.arange(n), exceedances, alpha, B, seed, _stop_at_decision)
 
 
 def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
              tail: str = "right", B: int = DEFAULT_PERMUTATIONS,
-             seed=0, *, _stop_at_decision: bool = False) -> TestResult:
+             seed=0) -> TestResult:
     """Run the independence test named ``method`` (one of :data:`METHODS`).
 
     ``m`` and ``tail`` go to the asymptotic test, which requires ``m`` and
     uses the cached :func:`default_null_constants`; ``B`` and ``seed`` go
-    to the permutation tests.  Every argument is checked for every method
-    (``m`` may be ``None``), so a bad value is refused even where the
-    method ignores it.  The permutation tests draw all ``B`` permutations;
-    the private ``_stop_at_decision`` is the simulation harness's request to
-    stop each one once its decision is fixed (see :func:`_permuted_p`),
-    forwarded unchanged.
+    to the permutation tests, which draw all ``B`` permutations.  Every
+    argument is checked for every method (``m`` may be ``None``), so a bad
+    value is refused even where the method ignores it.
     """
     check_choice("method", method, METHODS)
     if m is not None:
@@ -354,12 +360,23 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
     check_choice("tail", tail, TAILS)
     check_int("B", B, MIN_PERMUTATIONS)
     check_seed(seed)
-    if method == "xi_asymptotic":
-        if m is None:
-            raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
-        return xi_test_asymptotic(x, y, m, alpha, tail=tail)
-    test = xi_test_permutation if method == "xi_permutation" else dcor_test_permutation
-    return test(x, y, alpha, B=B, seed=seed, _stop_at_decision=_stop_at_decision)
+    if method == "xi_asymptotic" and m is None:
+        raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
+    _check_alpha(alpha)
+    return _run_tests((method,), x, y, (seed,), alpha, m, tail, B)[0]
+
+
+def _run_tests(methods: tuple, x, y, seeds, alpha: float, m: int | None, tail: str,
+               B: int, *, _stop_at_decision: bool = False) -> list[TestResult]:
+    """:func:`run_test` of each of ``methods`` (with its seed) on one sample,
+    through the private forms of the tests, which take a prepared sample and
+    checked arguments; only the harness sets ``_stop_at_decision``."""
+    sample = _xi_sample(x, y, xi=any(k != "dcor_permutation" for k in methods),
+                        dcor="dcor_permutation" in methods)
+    tests = {"xi_permutation": _xi_permutation, "dcor_permutation": _dcor_permutation}
+    return [_xi_asymptotic(sample, m, alpha, None, tail) if method == "xi_asymptotic"
+            else tests[method](sample, alpha, B, seed, _stop_at_decision=_stop_at_decision)
+            for method, seed in zip(methods, seeds)]
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

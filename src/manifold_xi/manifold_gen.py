@@ -142,9 +142,17 @@ def linear_embedding_matrix(m: int, r_seed: int = 0) -> np.ndarray:
     return substream(r_seed, m).standard_normal((5 * m, m))
 
 
+def _as_rows(name: str, value) -> np.ndarray:
+    """``value`` as a 2-D float array of rows, a 1-D array as one column."""
+    rows = as_real_array(name, value)
+    if rows.ndim not in (1, 2):
+        raise InvalidInputError(f"{name} must be a 1-D or 2-D array, got ndim={rows.ndim}")
+    return rows[:, None] if rows.ndim == 1 else rows
+
+
 def embed_linear(z: np.ndarray, r_seed: int = 0) -> np.ndarray:
     """Map latent rows through the fixed linear embedding: ``x_i = R z_i``."""
-    z = as_real_array("z", z)
+    z = _as_rows("z", z)
     r = linear_embedding_matrix(z.shape[1], r_seed)
     return z @ r.T
 
@@ -156,7 +164,7 @@ def embed_manifold(z: np.ndarray) -> np.ndarray:
     cos(4 pi z), exp(z)]``; block 1 is the identity, so the map is
     injective and the output rank equals the latent dimension.
     """
-    z = as_real_array("z", z)
+    z = _as_rows("z", z)
     return np.hstack([
         z,
         z**2,
@@ -190,11 +198,9 @@ def matrix_hash(a: np.ndarray) -> str:
 def write_dataset_csv(stream, x: np.ndarray, y: np.ndarray) -> None:
     """Write a dataset as CSV with header ``y,x1..xD`` at full precision.
     ``x`` and ``y`` must be real and ``y`` 1-D, or ``InvalidInputError`` names them."""
-    x, y = as_real_array("x", x), as_real_array("y", y)
+    x, y = _as_rows("x", x), as_real_array("y", y)
     if y.ndim != 1:
         raise InvalidInputError(f"y must be 1-D, got ndim={y.ndim}")
-    if x.ndim == 1:
-        x = x[:, None]
     if x.shape[0] != y.shape[0]:
         raise InvalidInputError("x and y row counts differ")
     stream.write("y," + ",".join(f"x{j + 1}" for j in range(x.shape[1])) + "\n")

@@ -24,7 +24,8 @@ kd-tree kernel for every sample size and ambient dimension, on the cloud
 Every exact squared distance (the all-pairs reference, the candidate check
 and the dcor baseline's distance matrices) comes from one coordinate-major
 kernel, :func:`_sqdist`, whose floats equal numpy's
-``(diff * diff).sum(axis=-1)`` bit for bit.
+``(diff * diff).sum(axis=-1)`` bit for bit.  Its all-pairs reference, the
+argmin of that matrix, is the graph of a harness replicate that runs dcor.
 
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
@@ -194,28 +195,33 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
     """Exact ``(n, n)`` squared distances between the rows of ``pts``.
 
-    :func:`_sqdist` fills them from the transposed coordinates in row
-    blocks of ``rows x n x d`` within ``_BRUTE_BLOCK_ENTRIES``, adding the
-    squared coordinate differences in numpy's pairwise-summation order (a
-    tier-1 test pins it to numpy's); the block size changes no value.
+    :func:`_sqdist` fills row block ``[s, e)`` by columns ``[s, n)`` from the
+    transposed coordinates and mirrors it, each pair once, in blocks of at
+    most ``ceil(n/4)`` rows and ``rows x n x d`` within
+    ``_BRUTE_BLOCK_ENTRIES``.  ``(a - b)**2 == (b - a)**2`` and the squares
+    add in numpy's pairwise order (a tier-1 test pins it): no block changes a value.
     """
     n, d = pts.shape
     cols = np.ascontiguousarray(pts.T)
     out = np.empty((n, n))
-    block = max(1, _BRUTE_BLOCK_ENTRIES // (n * d))
+    block = max(1, min(-(-n // 4), _BRUTE_BLOCK_ENTRIES // (n * d)))
     with np.errstate(over="ignore"):
         for start in range(0, n, block):
-            rows = cols[:, start:start + block, None]
-            out[start:start + block] = _sqdist(rows, cols[:, None, :])
+            end = start + block
+            out[start:end, start:] = _sqdist(cols[:, start:end, None], cols[:, None, start:])
+            out[end:, start:end] = out[start:end, end:].T
     return out
+
+
+def _nn_argmin(d2: np.ndarray) -> np.ndarray:
+    """Nearest other rows by the exact :func:`_pairwise_sqdist` matrix ``d2``
+    (left unchanged): each row's first minimum off the diagonal."""
+    return np.where(np.eye(len(d2), dtype=bool), np.inf, d2).argmin(axis=1)
 
 
 def _nn_brute(pts: np.ndarray) -> np.ndarray:
     """All-pairs nearest neighbors, the reference :func:`_nn_tree` must equal."""
-    d2 = _pairwise_sqdist(pts)
-    np.fill_diagonal(d2, np.inf)
-    # np.argmin returns the first minimum, i.e. the smallest index.
-    return d2.argmin(axis=1)
+    return _nn_argmin(_pairwise_sqdist(pts))
 
 
 def _prescaled(pts: np.ndarray) -> tuple[np.ndarray, int]:

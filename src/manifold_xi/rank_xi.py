@@ -13,7 +13,7 @@ which without ties is computed as ``xi_n = 6 S / (n^2 - 1) - (2n + 1) /
 centered near zero; when ``y`` is a function of ``x`` it approaches one.
 A constant ``y`` makes it undefined and is refused.  Only this module
 assembles it (sample, NN graph, rank sum), for :func:`xi_n` and for the
-xi tests of :mod:`manifold_xi.dep_tests`.
+tests of :mod:`manifold_xi.dep_tests`, on one sample per replicate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, TieError, as_real_array, check_int
 from .nn_graph import PointCloud, as_point_cloud, build_nn_graph
+from .nn_graph import _nn_argmin, _pairwise_sqdist, _prescaled
 from .rngs import substream
 
 
@@ -72,36 +73,45 @@ def compute_ranks(y) -> np.ndarray:
     return ranks
 
 
-def _validate_pair(x, y, min_n: int) -> tuple[PointCloud, np.ndarray, np.ndarray]:
-    """Validate paired predictors and responses of equal length ``n >= min_n``;
-    returns the cloud, the responses as floats and their ranks."""
+@dataclass
+class _Sample:
+    """A validated pair, its ranks and tie-group sizes, for every test on it;
+    ``sqdist`` (read-only) is the :func:`_pairwise_sqdist` of the cloud."""
+
+    cloud: PointCloud
+    y: np.ndarray
+    ranks: np.ndarray
+    sizes: np.ndarray
+    sqdist: np.ndarray | None = None
+    nn: np.ndarray | None = None
+
+
+def _xi_sample(x, y, xi: bool = True, dcor: bool = False) -> _Sample:
+    """Validate a pair of equal length for the coefficient if ``xi`` (``n >=
+    3``, a constant response refused) and for dcor if ``dcor`` (``n >= 4``);
+    for both, the sample carries the distance matrix they share."""
     cloud = as_point_cloud(x)
     y = as_real_array("response", y)
     ranks = compute_ranks(y)  # takes the float array without a copy
     if y.shape[0] != cloud.n:
         raise InvalidInputError(f"length mismatch: {cloud.n} points vs {y.shape[0]} responses")
-    check_int("n", cloud.n, min_n)
-    return cloud, y, ranks
-
-
-def _xi_sample(x, y) -> tuple[PointCloud, np.ndarray, np.ndarray]:
-    """Validate a pair for the coefficient (``n >= 3``); returns the cloud,
-    the ranks and the size of each response's tie group.  A constant
-    response is refused."""
-    cloud, _, ranks = _validate_pair(x, y, min_n=3)
+    check_int("n", cloud.n, 4 if dcor else 3)
     sizes = np.bincount(ranks)[ranks]
-    if sizes[0] == sizes.shape[0]:
+    if xi and sizes[0] == sizes.shape[0]:
         raise DegenerateInputError("constant response: the coefficient is undefined")
-    return cloud, ranks, sizes
+    sqdist = _pairwise_sqdist(_prescaled(cloud.points)[0]) if xi and dcor else None
+    return _Sample(cloud, y, ranks, sizes, sqdist)
 
 
-def _xi_statistic(cloud: PointCloud, ranks: np.ndarray,
-                  sizes: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The NN index of ``cloud``, the exact rank sum ``S = sum_i min(R_i,
-    R_N(i))`` and the coefficient it gives: ``xi_n`` without ties, ``T_n``
-    with them (tie-group ``sizes``)."""
+def _xi_statistic(sample: _Sample) -> tuple[np.ndarray, int, float]:
+    """The NN index of a sample, built once (the kd-tree graph, or bit for bit
+    the :func:`_nn_argmin` of its matrix), the rank sum ``S = sum_i min(R_i,
+    R_N(i))`` and the coefficient: ``xi_n`` without ties, ``T_n`` with them."""
+    if sample.nn is None:
+        sample.nn = (build_nn_graph(sample.cloud).nn_index if sample.sqdist is None
+                     else _nn_argmin(sample.sqdist))
+    ranks, sizes, nn = sample.ranks, sample.sizes, sample.nn
     n = ranks.shape[0]
-    nn = build_nn_graph(cloud).nn_index
     rank_sum = int(np.minimum(ranks, ranks[nn]).sum())
     if sizes.max() == 1:
         return nn, rank_sum, 6.0 * rank_sum / (n * n - 1.0) - (2.0 * n + 1.0) / (n - 1.0)
@@ -130,12 +140,12 @@ def xi_n(x, y, strict: bool = False) -> XiStatistic:
     :func:`build_nn_graph` for every ``n`` and ``d``; distance ties break
     toward the smallest index, so the value is deterministic on any input.
     """
-    cloud, ranks, sizes = _xi_sample(x, y)
+    sample = _xi_sample(x, y)
     if strict:
-        cloud.require_distinct()
-        if sizes.max() > 1:
+        sample.cloud.require_distinct()
+        if sample.sizes.max() > 1:
             raise TieError("response contains exact ties")
-    return XiStatistic(value=_xi_statistic(cloud, ranks, sizes)[2], n=cloud.n)
+    return XiStatistic(value=_xi_statistic(sample)[2], n=sample.cloud.n)
 
 
 def min_kernel_moments(samples: int, seed: int = 0) -> KernelMoments:

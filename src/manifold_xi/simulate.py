@@ -24,7 +24,7 @@ from .dep_tests import (
     MIN_PERMUTATIONS,
     TAILS,
     _check_alpha,
-    run_test,
+    _run_tests,
 )
 from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
 from .manifold_gen import (
@@ -151,13 +151,12 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
                             n=config.n, seed=(config.master_seed, cell_index, rep, 0),
                             r_seed=config.master_seed)
         data = generate(spec)
-        for k, method in enumerate(config.methods):
-            # Only reject is read, so each permutation test may stop drawing
-            # once it cannot reject: the counts are the full-B ones.
-            res = run_test(method, data.x, data.y, config.alpha, m=m,
-                           tail=config.xi_tail, B=config.B,
-                           seed=(config.master_seed, cell_index, rep, 1 + k),
-                           _stop_at_decision=True)
+        seeds = [(config.master_seed, cell_index, rep, k) for k, _ in enumerate(config.methods, 1)]
+        # Only reject is read, so each permutation test may stop drawing
+        # once it cannot reject: the counts are the full-B ones.
+        results = _run_tests(config.methods, data.x, data.y, seeds, config.alpha, m,
+                             config.xi_tail, config.B, _stop_at_decision=True)
+        for method, res in zip(config.methods, results):
             counts[method] += res.reject
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     records = []
@@ -179,10 +178,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     :class:`PowerRecord`) and the run continues.  ``log``, if given, gets
     a progress line per computed (cell, method), none for skipped cells.
 
-    A record needs only each test's ``reject``, so each permutation test
-    stops drawing once it can no longer reject at ``config.alpha``.  The
-    rejection counts, and so the CSV, are those of tests that draw all
-    ``config.B`` permutations, as every call outside the harness does.
+    Each replicate is prepared once for all its tests: one NN graph, the
+    argmin of the distance matrix dcor centres when dcor runs.  A record
+    needs only each test's ``reject``, so each permutation test stops
+    drawing once it can no longer reject at ``config.alpha``.  The
+    rejection counts, and so the CSV, are those of the public tests, which
+    prepare their own samples and draw all ``config.B`` permutations.
     """
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))

@@ -349,6 +349,81 @@ class TestOneResponsePath:
         assert res.statistic == xi_n(x, y).value
 
 
+def first_outcome(calls):
+    """The results of ``calls`` in turn, or the first refusal as
+    ``(type, message)``."""
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except InvalidInputError as exc:
+            return type(exc), str(exc)
+    return results
+
+
+SHARED_ORDERS = [("xi_asymptotic", "xi_permutation", "dcor_permutation"),
+                 ("dcor_permutation", "xi_permutation", "xi_asymptotic"),
+                 ("dcor_permutation",), ("xi_permutation", "xi_asymptotic")]
+
+
+def shared_sample_pairs():
+    """Pairs each test takes or refuses, by kind."""
+    rng = np.random.default_rng(28)
+    x, y = rng.random((30, 2)), rng.random(30)
+    return {
+        "continuous": (x, y),
+        "constant": (x, np.full(30, 2.5)),
+        "tied": (x, np.round(y, 1)),
+        "duplicate_x": (np.vstack([x[:15], x[:15]]), y),
+        "length": (x, y[:29]),
+        "three_rows": (x[:3], y[:3]),
+        "non_finite_x": (np.where(x > 0.9, np.inf, x), y),
+        "complex_y": (x, y + 1j),
+        "text_y": (x, ["a"] * 30),
+        "two_d_y": (x, x),
+    }
+
+
+SHARED_PAIRS = shared_sample_pairs()
+
+
+class TestOneSharedSample:
+    """The harness's entry point runs several tests on one prepared sample;
+    each decides and refuses as the public test run alone does."""
+
+    @pytest.mark.parametrize("methods", SHARED_ORDERS, ids="-".join)
+    @pytest.mark.parametrize("kind", list(SHARED_PAIRS))
+    def test_results_and_refusals_equal_the_public_tests_in_turn(self, kind, methods):
+        x, y = SHARED_PAIRS[kind]
+        seeds = [(5, k) for k in range(len(methods))]
+        public = first_outcome([
+            lambda method=method, seed=seed: run_test(method, x, y, 0.05, m=2, B=39, seed=seed)
+            for method, seed in zip(methods, seeds)])
+        shared = first_outcome([
+            lambda: dep_tests._run_tests(methods, x, y, seeds, 0.05, 2, "right", 39)])
+        assert shared == (public if isinstance(public, tuple) else [public])
+
+    def test_constant_response_refused_for_xi_and_p_one_for_dcor(self):
+        x, y = SHARED_PAIRS["constant"]
+        res = dep_tests._run_tests(("dcor_permutation",), x, y, [0], 0.05, None, "right",
+                                   199, _stop_at_decision=True)[0]
+        assert (res.p_value, res.reject) == (1.0, False)
+        for methods in (("dcor_permutation", "xi_asymptotic"), ("xi_permutation",)):
+            with pytest.raises(DegenerateInputError, match="constant response"):
+                dep_tests._run_tests(methods, x, y, [0, 1], 0.05, 2, "right", 199,
+                                     _stop_at_decision=True)
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
+    def test_dcor_leaves_the_shared_matrix_unchanged(self, kind):
+        x, y = dcor_case(kind, 40, np.random.default_rng(29))
+        sample = rank_xi._xi_sample(x, y, dcor=True)
+        before = sample.sqdist.copy()
+        res = dep_tests._dcor_permutation(sample, 0.05, 199, 3)
+        assert np.array_equal(sample.sqdist.view(np.int64), before.view(np.int64))
+        assert res == dcor_test_permutation(x, y, B=199, seed=3)
+        assert np.array_equal(rank_xi._xi_statistic(sample)[0], build_nn_graph(x).nn_index)
+
+
 class TestRefusedBeforeTheGraph:
     """A refused xi input builds no NN graph."""
 
@@ -626,6 +701,13 @@ def draws(monkeypatch):
 ALPHAS = (0.001, 0.01, 0.05, 0.5)
 
 
+def harness_test(method, x, y, alpha, B, seed=0, stop=True):
+    """One permutation test as the simulation harness runs it: through the
+    private entry point, stopped once its decision is fixed if ``stop``."""
+    return dep_tests._run_tests((method,), x, y, (seed,), alpha, None, "right", B,
+                                _stop_at_decision=stop)[0]
+
+
 class TestStopAtDecision:
     """The harness's stopped tests decide exactly as the full-B tests do."""
 
@@ -640,8 +722,8 @@ class TestStopAtDecision:
         y = rng.random(30) if sample == "null" else x[:, 0] + 0.3 * rng.random(30)
         t_xi = first_stop(xi_shuffle_hits(x, y, B, 7), alpha, B)
         t_dcor = first_stop(dcor_gather_hits(x, y, B, 7)[1], alpha, B)
-        xi_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
-        dcor_test_permutation(x, y, alpha, B=B, seed=7, _stop_at_decision=True)
+        harness_test("xi_permutation", x, y, alpha, B, seed=7)
+        harness_test("dcor_permutation", x, y, alpha, B, seed=7)
         block = min(B, dep_tests._PERMUTATION_BLOCK_ENTRIES // 30**2)
         assert draws[0].drawn == min(B, -(-t_xi // block) * block)
         assert draws[1].drawn == min(B, -(-t_dcor // block) * block)
@@ -653,8 +735,7 @@ class TestStopAtDecision:
         x, y = dcor_case(kind, n, np.random.default_rng(n))
         stat, p_full = dcor_permutation_by_gather(x, y, B, n + B)
         for alpha in ALPHAS:
-            res = dcor_test_permutation(x, y, alpha, B=B, seed=n + B,
-                                        _stop_at_decision=True)
+            res = harness_test("dcor_permutation", x, y, alpha, B, seed=n + B)
             assert res.statistic == stat and res.B == B
             assert res.reject == (p_full <= alpha)
             if res.p_value != p_full:  # stopped: a lower bound above alpha
@@ -667,8 +748,7 @@ class TestStopAtDecision:
         x, y = dcor_case(kind, n, np.random.default_rng(n))
         for alpha in ALPHAS:
             full = xi_test_permutation(x, y, alpha, B=B, seed=n + B)
-            res = xi_test_permutation(x, y, alpha, B=B, seed=n + B,
-                                      _stop_at_decision=True)
+            res = harness_test("xi_permutation", x, y, alpha, B, seed=n + B)
             assert res.statistic == full.statistic and res.B == B
             assert res.reject == full.reject
             if res.p_value != full.p_value:
@@ -678,18 +758,18 @@ class TestStopAtDecision:
     def test_constant_response_is_decided_as_before(self, stop):
         x = np.random.default_rng(3).random((30, 2))
         y = np.full(30, 2.5)
-        res = dcor_test_permutation(x, y, 0.05, B=199, _stop_at_decision=stop)
+        res = harness_test("dcor_permutation", x, y, 0.05, 199, stop=stop)
         assert (res.p_value, res.reject) == (1.0, False)
         with pytest.raises(DegenerateInputError):
-            xi_test_permutation(x, y, 0.05, B=199, _stop_at_decision=stop)
+            harness_test("xi_permutation", x, y, 0.05, 199, stop=stop)
 
     @pytest.mark.parametrize("test", [dcor_test_permutation, xi_test_permutation])
     def test_null_stops_early_and_dependence_draws_all(self, test, draws):
         rng = np.random.default_rng(5)
         x = rng.random((100, 2))
-        null = test(x, rng.random(100), 0.05, B=199, _stop_at_decision=True)
-        strong = test(x, x[:, 0] + 0.01 * rng.random(100), 0.05, B=199,
-                      _stop_at_decision=True)
+        method = test.__name__.replace("_test_", "_")
+        null = harness_test(method, x, rng.random(100), 0.05, 199)
+        strong = harness_test(method, x, x[:, 0] + 0.01 * rng.random(100), 0.05, 199)
         assert not null.reject and strong.reject
         block = dep_tests._PERMUTATION_BLOCK_ENTRIES // 100**2  # 13 rows at n = 100
         assert draws[0].drawn <= 199 - 199 % block  # never reached the last block
@@ -700,7 +780,7 @@ class TestStopAtDecision:
         rng = np.random.default_rng(6)
         x = rng.random((30, 2))
         y = x[:, 0] + 0.01 * rng.random(30)  # the full test's p is 1/200
-        res = run_test(method, x, y, 0.001, B=199, _stop_at_decision=True)
+        res = harness_test(method, x, y, 0.001, 199)
         assert draws[0].drawn == 0
         assert (res.p_value, res.reject) == (1.0 / 200.0, False)
 

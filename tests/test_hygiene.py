@@ -12,6 +12,7 @@ function and class has a docstring of its own."""
 
 import ast
 import collections
+import importlib
 import inspect
 import textwrap
 from dataclasses import dataclass, fields
@@ -219,17 +220,22 @@ def test_only_the_harness_asks_a_test_to_stop(path):
 
 
 def test_the_stop_argument_stays_private():
-    # Every public call, config field and documented option draws all B.
+    # Every public call, config field and documented option draws all B:
+    # no public function of any module takes the stop, only the harness's
+    # private entry point and the private tests behind it.
     readme = Path(__file__).parents[1] / "README.md"
     assert STOP_ARGUMENT not in readme.read_text(encoding="utf-8")
     assert [f.name for f in fields(simulate.ExperimentConfig) if "stop" in f.name] == []
-    public = [getattr(manifold_xi, name) for name in manifold_xi.__all__] + [dep_tests.run_test]
-    takers = {obj.__name__: (param.kind, param.default) for obj in public
-              if inspect.isfunction(obj)
-              for param in [inspect.signature(obj).parameters.get(STOP_ARGUMENT)]
-              if param is not None}
-    assert takers == dict.fromkeys(["xi_test_permutation", "dcor_test_permutation", "run_test"],
-                                   (inspect.Parameter.KEYWORD_ONLY, False))
+    modules = [manifold_xi] + [importlib.import_module(f"manifold_xi.{p.stem}")
+                               for p in MODULES]
+    public = {obj for module in modules for name, obj in vars(module).items()
+              if not name.startswith("_") and inspect.isfunction(obj)}
+    assert dep_tests.run_test in public
+    assert [obj.__name__ for obj in public
+            if STOP_ARGUMENT in inspect.signature(obj).parameters] == []
+    private = [name for name, obj in vars(dep_tests).items()
+               if inspect.isfunction(obj) and STOP_ARGUMENT in inspect.signature(obj).parameters]
+    assert all(name.startswith("_") for name in private) and "_run_tests" in private
 
 
 DRAWS = ("shuffle", "permuted", "permutation")
@@ -280,12 +286,13 @@ def test_one_loop_draws_the_permutations(path):
     assert owners == ({PERMUTATION_LOOP} if path.name == "dep_tests.py" else set())
 
 
-ASSEMBLY = ("build_nn_graph", "_xi_sample", "_xi_statistic")
+ASSEMBLY = ("build_nn_graph", "_nn_argmin", "_xi_sample", "_xi_statistic")
 
 
 def assembly_names(source: str) -> list[str]:
-    """Imports of and references to the NN graph builder and the two private
-    steps that assemble the coefficient, by name and line."""
+    """Imports of and references to the NN graph builders (the kd-tree one
+    and the argmin of a distance matrix) and the two private steps that
+    assemble the coefficient, by name and line."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -302,17 +309,21 @@ def test_the_checker_finds_assembly_names():
               "nn_graph.build_nn_graph(x)\n"
               "_xi_statistic(cloud, ranks, sizes)\n"
               "def build_nn_graph(cloud): pass\n"
-              "'build_nn_graph'\n")
+              "'build_nn_graph'\n"
+              "nn = _nn_argmin(d2)\n")
     assert assembly_names(source) == ["build_nn_graph (line 1)", "_xi_sample (line 2)",
-                                      "build_nn_graph (line 3)", "_xi_statistic (line 4)"]
+                                      "build_nn_graph (line 3)", "_xi_statistic (line 4)",
+                                      "_nn_argmin (line 7)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_rank_xi_assembles_the_coefficient(path):
-    # rank_xi prepares the sample and builds the graph for xi_n and both xi
-    # tests; dep_tests takes both steps from it and builds no graph itself.
-    allowed = {"rank_xi.py": set(ASSEMBLY), "dep_tests.py": set(ASSEMBLY[1:]),
-               "nn_graph.py": {"build_nn_graph"}}.get(path.name, set())
+    # rank_xi prepares the sample and builds the graph, by the kd-tree or as
+    # the argmin of the sample's distance matrix, for xi_n and both xi
+    # tests; dep_tests takes both steps from it and builds no graph itself,
+    # and the harness (simulate) names none of them.
+    allowed = {"rank_xi.py": set(ASSEMBLY), "dep_tests.py": {"_xi_sample", "_xi_statistic"},
+               "nn_graph.py": {"build_nn_graph", "_nn_argmin"}}.get(path.name, set())
     names = {entry.split()[0] for entry in assembly_names(path.read_text(encoding="utf-8"))}
     assert names <= allowed
     if path.name != "nn_graph.py":

@@ -143,6 +143,19 @@ class TestEmbeddings:
         h3 = matrix_hash(linear_embedding_matrix(2, r_seed=6))
         assert h1 == h2 != h3
 
+    @pytest.mark.parametrize("embed", [embed_linear, embed_manifold])
+    def test_one_dimensional_latent_is_one_column(self, embed):
+        z = [0.0, 0.25, -1.0]
+        out = embed(z)
+        assert out.shape == (3, 5)
+        assert np.array_equal(out, embed(np.array(z)[:, None]))
+
+    @pytest.mark.parametrize("embed", [embed_linear, embed_manifold])
+    @pytest.mark.parametrize("z", [1.5, np.zeros((2, 3, 1))], ids=["scalar", "3-D"])
+    def test_latent_of_another_ndim_refused(self, embed, z):
+        with pytest.raises(InvalidInputError, match="ndim"):
+            embed(z)
+
     def test_generate_dispatches_transforms(self):
         for transform, width in (("identity", 2), ("linear_embed", 10),
                                  ("manifold_embed", 10)):
@@ -280,6 +293,13 @@ class TestDatasetCsv:
             read_dataset_csv(io.StringIO("a,b\n1,2\n"))
         with pytest.raises(DatasetFormatError, match="line 1"):
             read_dataset_csv(io.StringIO(""))
+
+    def test_predictors_must_be_one_or_two_dimensional(self):
+        with pytest.raises(InvalidInputError, match="x must be a 1-D or 2-D array"):
+            write_dataset_csv(io.StringIO(), np.zeros((2, 2, 2)), [1.0, 2.0])
+        buf = io.StringIO()
+        write_dataset_csv(buf, [0.5, 1.5], [1.0, 2.0])  # one column
+        assert buf.getvalue() == "y,x1\n1.0,0.5\n2.0,1.5\n"
 
     def test_response_must_be_one_dimensional(self):
         buf = io.StringIO()

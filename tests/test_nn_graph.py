@@ -139,6 +139,26 @@ class TestSquaredDistanceKernel:
                         overflowed |= bool(np.isinf(ref).any())
         assert overflowed
 
+    @pytest.mark.parametrize("n", [3, 7, 101])
+    def test_half_fill_is_symmetric_and_equals_numpy(self, n, monkeypatch):
+        # each unordered pair is computed once and mirrored, in row blocks of
+        # ceil(n/4) rows or of the entries bound, none dividing n evenly
+        rng = np.random.default_rng(n + 40)
+        with np.errstate(over="ignore", under="ignore"):
+            for d in (1, 3, 9, 130):
+                for scale in (1.0, 1e-160, 1e155):
+                    pts = _kernel_cloud(rng, n, d, scale, tied=d == 3)
+                    ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
+                    for rows in (None, 1, 2):
+                        if rows is not None:
+                            monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", rows * n * d)
+                        got = nn_graph._pairwise_sqdist(pts)
+                        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                            (d, scale, rows)
+                        assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
+                        assert (np.diag(got) == 0.0).all()
+                    monkeypatch.undo()
+
     def test_scratch_is_freed_on_return(self):
         # a reference cycle (say, a self-calling closure) would keep every
         # call's gathers alive until the next garbage collection

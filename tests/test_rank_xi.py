@@ -8,11 +8,15 @@ from manifold_xi import (
     DuplicatePointsError,
     InvalidInputError,
     PointCloud,
+    ScenarioSpec,
     TieError,
+    build_nn_graph,
     compute_ranks,
+    generate,
     min_kernel_moments,
     xi_n,
 )
+from manifold_xi import nn_graph, rank_xi
 from manifold_xi.nn_graph import _nn_brute
 
 
@@ -185,6 +189,53 @@ class TestXiInvariances:
         stderr = values.std(ddof=1) / np.sqrt(reps)
         assert values.mean() == pytest.approx(-1.0 / (n - 1), abs=3 * stderr)
         assert abs(values.mean()) < 0.02  # near zero in absolute terms
+
+
+def shared_graph_clouds():
+    """The ten desk inputs (m in {1, 2, 3, 5, 10}, both transforms, n=100),
+    then clouds with duplicate rows, with rows tied by underflow (copies
+    scaled by 1e-170 beside rows near one) and with every row but one
+    equal."""
+    for m in (1, 2, 3, 5, 10):
+        for transform in ("linear_embed", "manifold_embed"):
+            spec = ScenarioSpec("linear", transform, m=m, rho=0.1, n=100,
+                                seed=(20260808, m), r_seed=20260808)
+            yield f"desk-{transform}-m{m}", generate(spec).x
+    rng = np.random.default_rng(26)
+    for d in (1, 3, 12):
+        base = rng.standard_normal((20, d))
+        yield f"duplicates-d{d}", base[rng.integers(0, 20, size=60)]
+        tiny = base[:8] * 1e-170
+        yield f"underflow-d{d}", np.vstack([base, tiny, tiny[::-1], np.zeros((2, d))])
+        odd = rng.standard_normal((1, d))
+        yield f"one-distinct-d{d}", np.vstack([np.ones((9, d)), odd])
+        yield f"one-distinct-first-d{d}", np.vstack([odd, np.ones((9, d))])
+
+
+SHARED_GRAPH_CLOUDS = list(shared_graph_clouds())
+
+
+class TestSharedGraph:
+    """With a distance matrix, a prepared sample's graph is the matrix's
+    argmin, the all-pairs reference, and equals the kd-tree graph."""
+
+    @pytest.mark.parametrize("x", [x for _, x in SHARED_GRAPH_CLOUDS],
+                             ids=[name for name, _ in SHARED_GRAPH_CLOUDS])
+    def test_argmin_of_the_sample_matrix_equals_the_tree_graph(self, x):
+        y = np.arange(len(x)) % 7.0
+        shared = rank_xi._xi_statistic(rank_xi._xi_sample(x, y, dcor=True))
+        alone = rank_xi._xi_statistic(rank_xi._xi_sample(x, y))
+        expected = build_nn_graph(x).nn_index
+        assert np.array_equal(shared[0], expected) and np.array_equal(alone[0], expected)
+        assert np.array_equal(_nn_brute(nn_graph._prescaled(x)[0]), expected)
+        assert shared[1:] == alone[1:]
+
+    def test_argmin_leaves_the_matrix_unchanged(self):
+        x = np.random.default_rng(27).random((30, 2))
+        d2 = nn_graph._pairwise_sqdist(x)
+        before = d2.copy()
+        nn_graph._nn_argmin(d2)
+        assert np.array_equal(d2, before) and (np.diag(d2) == 0.0).all()
 
 
 class TestKernelMoments:

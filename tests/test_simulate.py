@@ -18,7 +18,7 @@ from manifold_xi import (
     run_experiment,
     xi_test_asymptotic,
 )
-from manifold_xi import dep_tests, null_constants, simulate
+from manifold_xi import dep_tests, null_constants, rank_xi, simulate
 from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
 from manifold_xi.rngs import parallel_map, substream, worker_count
@@ -143,8 +143,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_stopping_tests_give_the_full_b_csv(self, monkeypatch, alpha, threads):
-        # The harness stops each permutation test once it cannot reject; its
-        # CSV must be the one built from public tests that draw all B.
+        # The harness stops each permutation test once it cannot reject and
+        # shares one sample between them; its CSV must be the one built from
+        # public tests that prepare their own samples and draw all B.
         cfg = tiny_config(cases=("linear", "quadratic"), rho_grid=(0.0, 0.6),
                           methods=("xi_asymptotic", "xi_permutation", "dcor_permutation"),
                           n=30, reps=5, B=39, alpha=alpha, threads=threads)
@@ -152,14 +153,68 @@ class TestRunExperiment:
         records_to_csv(run_experiment(cfg), stopping)
         asked = []
 
-        def full_b(*args, _stop_at_decision, **kwargs):
+        def full_b(methods, x, y, seeds, alpha, m, tail, B, *, _stop_at_decision):
             asked.append(_stop_at_decision)
-            return dep_tests.run_test(*args, **kwargs)
+            return [dep_tests.run_test(method, x, y, alpha, m, tail, B, seed)
+                    for method, seed in zip(methods, seeds)]
 
-        monkeypatch.setattr(simulate, "run_test", full_b)
+        monkeypatch.setattr(simulate, "_run_tests", full_b)
         records_to_csv(run_experiment(cfg), full)
         assert asked and all(asked)
         assert strip_elapsed(stopping.getvalue()) == strip_elapsed(full.getvalue())
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Count, per kind, the work one replicate does: x's distance matrix,
+        kd-tree graphs, argmin graphs and validations of the response."""
+        counts = dict.fromkeys(["x_matrix", "tree_graph", "argmin_graph", "ranks"], 0)
+
+        def counted(module, name, key, when=lambda *args: True):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                counts[key] += when(*args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        x_columns = lambda pts: pts.shape[1] > 1  # noqa: E731  (y's matrix has one)
+        counted(rank_xi, "_pairwise_sqdist", "x_matrix", x_columns)
+        counted(dep_tests, "_pairwise_sqdist", "x_matrix", x_columns)
+        counted(rank_xi, "build_nn_graph", "tree_graph")
+        counted(rank_xi, "_nn_argmin", "argmin_graph")
+        counted(rank_xi, "compute_ranks", "ranks")
+        return counts
+
+    @pytest.mark.parametrize("methods,expected", [
+        (("xi_asymptotic", "xi_permutation", "dcor_permutation"), (1, 0, 1, 1)),
+        (("dcor_permutation", "xi_asymptotic"), (1, 0, 1, 1)),
+        (("dcor_permutation",), (1, 0, 0, 1)),
+        (("xi_asymptotic", "xi_permutation"), (0, 1, 0, 1)),
+    ])
+    def test_one_replicate_prepares_one_sample(self, work, methods, expected):
+        # one validation; with dcor one matrix of x and its argmin as the
+        # graph, without it no matrix and one kd-tree graph for both xi tests
+        cfg = tiny_config(transforms=("manifold_embed",), reps=1, methods=methods)
+        records = simulate._run_cell(0, "linear", "manifold_embed", 1, 0.3, cfg)
+        assert [r.method for r in records] == list(methods)
+        assert tuple(work.values()) == expected
+
+    def test_method_order_changes_no_record(self, monkeypatch):
+        # Each test draws from a stream keyed by the replicate alone here, so
+        # only the order in which the tests share the sample differs: dcor
+        # running first must leave the matrix the xi graph is taken from.
+        monkeypatch.setattr(dep_tests, "substream", lambda seed: substream(seed[:3]))
+        xi_first = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
+
+        def rates(methods):
+            cfg = tiny_config(cases=("linear", "cosine"), transforms=("manifold_embed",),
+                              m_grid=(1, 3), rho_grid=(0.0, 0.3), n=40, reps=6, B=19,
+                              alpha=0.5, methods=methods, threads=1)
+            return sorted((r.case, r.m, r.rho, r.method, r.rejection_rate)
+                          for r in run_experiment(cfg))
+
+        assert rates(xi_first) == rates(xi_first[::-1])
 
     def test_linear_embed_records_carry_matrix_hash(self):
         cfg = tiny_config(transforms=("linear_embed",), m_grid=(2,))
