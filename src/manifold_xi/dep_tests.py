@@ -13,6 +13,7 @@ the coefficient on it, from :mod:`manifold_xi.rank_xi`, which alone assembles it
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _Sample, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
 
-METHODS = ("xi_asymptotic", "xi_permutation", "dcor_permutation")
 TAILS = ("right", "two_sided")  # rejection tails of the asymptotic test
 
 DEFAULT_PERMUTATIONS = 199
@@ -98,13 +98,12 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     TieError
         If two responses are equal: ``sigma^2(m)`` assumes a continuous ``y``.
     """
-    _check_alpha(alpha)
-    check_int("m", m, 1)
-    check_choice("tail", tail, TAILS)
-    return _xi_asymptotic(_xi_sample(x, y), m, alpha, constants, tail)
+    _check_arguments("xi_asymptotic", alpha, m, tail)
+    return _xi_asymptotic(_xi_sample(x, y), alpha, m=m, tail=tail, constants=constants)
 
 
-def _xi_asymptotic(sample: _Sample, m: int, alpha: float, constants, tail: str) -> TestResult:
+def _xi_asymptotic(sample: _Sample, alpha: float, *, m: int, tail: str, constants=None,
+                   _stop_at_decision: bool = False) -> TestResult:
     if sample.sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
@@ -168,13 +167,10 @@ def xi_test_permutation(x, y, alpha: float = 0.05,
     increasing in the rank sum, so the p-value is the same.  A constant
     response raises :class:`DegenerateInputError`.
     """
-    _check_alpha(alpha)
-    check_int("B", B, MIN_PERMUTATIONS)
-    check_seed(seed)
-    return _xi_permutation(_xi_sample(x, y), alpha, B, seed)
+    return run_test("xi_permutation", x, y, alpha, B=B, seed=seed)
 
 
-def _xi_permutation(sample: _Sample, alpha: float, B: int, seed,
+def _xi_permutation(sample: _Sample, alpha: float, *, B: int, seed,
                     _stop_at_decision: bool = False) -> TestResult:
     nn, observed, value = _xi_statistic(sample)
     return _permuted_p(
@@ -302,13 +298,10 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     are those of :func:`_permuted_p`; the fill scratch of one block is
     allocated once per test.
     """
-    _check_alpha(alpha)
-    check_int("B", B, MIN_PERMUTATIONS)
-    check_seed(seed)
-    return _dcor_permutation(_xi_sample(x, y, xi=False, dcor=True), alpha, B, seed)
+    return run_test("dcor_permutation", x, y, alpha, B=B, seed=seed)
 
 
-def _dcor_permutation(sample: _Sample, alpha: float, B: int, seed,
+def _dcor_permutation(sample: _Sample, alpha: float, *, B: int, seed,
                       _stop_at_decision: bool = False) -> TestResult:
     (points, _), (y, _) = map(_prescaled, (sample.cloud.points, sample.y))
     a, b, observed, _, _, norm = _dcor_parts(points, y, sample.sqdist)
@@ -343,6 +336,33 @@ def _dcor_permutation(sample: _Sample, alpha: float, B: int, seed,
                        np.arange(n), exceedances, alpha, B, seed, _stop_at_decision)
 
 
+# The one list of the tests: each test's private form, run on a prepared sample
+# with the arguments it reads (and the harness's stop, which only the permutation
+# tests use), and whether it takes the coefficient (its sample then refuses a
+# constant y; a test that does not centres x's distance matrix).
+_Test = namedtuple("_Test", "run reads xi")
+_TESTS = {
+    "xi_asymptotic": _Test(_xi_asymptotic, ("m", "tail"), xi=True),
+    "xi_permutation": _Test(_xi_permutation, ("B", "seed"), xi=True),
+    "dcor_permutation": _Test(_dcor_permutation, ("B", "seed"), xi=False),
+}
+METHODS = tuple(_TESTS)
+
+
+def _check_arguments(method: str, alpha: float, m: int | None, tail: str,
+                     B: int = DEFAULT_PERMUTATIONS, seed=0) -> None:
+    """The one check of a test's arguments, as :func:`run_test` describes it."""
+    check_choice("method", method, METHODS)
+    if m is not None:
+        check_int("m", m, 1)
+    check_choice("tail", tail, TAILS)
+    check_int("B", B, MIN_PERMUTATIONS)
+    check_seed(seed)
+    if m is None and "m" in _TESTS[method].reads:
+        raise InvalidInputError(f"{method} requires the intrinsic dimension m")
+    _check_alpha(alpha)
+
+
 def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
              tail: str = "right", B: int = DEFAULT_PERMUTATIONS,
              seed=0) -> TestResult:
@@ -354,29 +374,21 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
     argument is checked for every method (``m`` may be ``None``), so a bad
     value is refused even where the method ignores it.
     """
-    check_choice("method", method, METHODS)
-    if m is not None:
-        check_int("m", m, 1)
-    check_choice("tail", tail, TAILS)
-    check_int("B", B, MIN_PERMUTATIONS)
-    check_seed(seed)
-    if method == "xi_asymptotic" and m is None:
-        raise InvalidInputError("xi_asymptotic requires the intrinsic dimension m")
-    _check_alpha(alpha)
+    _check_arguments(method, alpha, m, tail, B, seed)
     return _run_tests((method,), x, y, (seed,), alpha, m, tail, B)[0]
 
 
 def _run_tests(methods: tuple, x, y, seeds, alpha: float, m: int | None, tail: str,
                B: int, *, _stop_at_decision: bool = False) -> list[TestResult]:
     """:func:`run_test` of each of ``methods`` (with its seed) on one sample,
-    through the private forms of the tests, which take a prepared sample and
-    checked arguments; only the harness sets ``_stop_at_decision``."""
-    sample = _xi_sample(x, y, xi=any(k != "dcor_permutation" for k in methods),
-                        dcor="dcor_permutation" in methods)
-    tests = {"xi_permutation": _xi_permutation, "dcor_permutation": _dcor_permutation}
-    return [_xi_asymptotic(sample, m, alpha, None, tail) if method == "xi_asymptotic"
-            else tests[method](sample, alpha, B, seed, _stop_at_decision=_stop_at_decision)
-            for method, seed in zip(methods, seeds)]
+    on checked arguments, by the registry's forms, each given the arguments
+    its entry reads; only the harness sets ``_stop_at_decision``."""
+    tests = [_TESTS[method] for method in methods]
+    xi = [test.xi for test in tests]
+    sample = _xi_sample(x, y, xi=any(xi), dcor=not all(xi))
+    given = [dict(m=m, tail=tail, B=B, seed=seed) for seed in seeds]
+    return [test.run(sample, alpha, **{name: args[name] for name in test.reads},
+                     _stop_at_decision=_stop_at_decision) for test, args in zip(tests, given)]
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

@@ -23,6 +23,7 @@ from .dep_tests import (
     METHODS,
     MIN_PERMUTATIONS,
     TAILS,
+    _TESTS,
     _check_alpha,
     _run_tests,
 )
@@ -187,7 +188,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     """
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
-    if "xi_asymptotic" in config.methods:
+    if any("m" in _TESTS[method].reads for method in config.methods):  # m's null constants
         for m in sorted(set(config.m_grid)):
             default_null_constants(m)  # warm the cache once, off the pool
 

@@ -418,7 +418,7 @@ class TestOneSharedSample:
         x, y = dcor_case(kind, 40, np.random.default_rng(29))
         sample = rank_xi._xi_sample(x, y, dcor=True)
         before = sample.sqdist.copy()
-        res = dep_tests._dcor_permutation(sample, 0.05, 199, 3)
+        res = dep_tests._dcor_permutation(sample, 0.05, B=199, seed=3)
         assert np.array_equal(sample.sqdist.view(np.int64), before.view(np.int64))
         assert res == dcor_test_permutation(x, y, B=199, seed=3)
         assert np.array_equal(rank_xi._xi_statistic(sample)[0], build_nn_graph(x).nn_index)
@@ -926,15 +926,25 @@ class TestAsymptoticPermutationAgreement:
 
 
 class TestRunTest:
+    def test_methods_are_pinned(self):
+        # The benchmark canary runs dep_tests.METHODS as one config's methods,
+        # and each replicate seed follows a method's position in it, so its
+        # names, their order and its type (a config takes a tuple) stay put.
+        assert METHODS == ("xi_asymptotic", "xi_permutation", "dcor_permutation")
+        assert type(METHODS) is tuple
+
     def test_dispatches_every_method(self):
         rng = np.random.default_rng(23)
         x = rng.random((30, 1))
         y = rng.random(30)
+        public = {"xi_asymptotic": lambda: xi_test_asymptotic(x, y, 1),
+                  "xi_permutation": lambda: xi_test_permutation(x, y, B=39, seed=5),
+                  "dcor_permutation": lambda: dcor_test_permutation(x, y, B=39, seed=5)}
+        assert tuple(public) == METHODS
         for method in METHODS:
             res = run_test(method, x, y, m=1, B=39, seed=5)
             assert res.method == method
-        assert run_test("dcor_permutation", x, y, B=39, seed=5) == \
-            dcor_test_permutation(x, y, B=39, seed=5)
+            assert res == public[method]()
 
     def test_refuses_unknown_method_and_missing_dimension(self):
         x, y = np.arange(10.0), np.arange(10.0)

@@ -5,7 +5,8 @@ every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
 at its decision, only one loop draws permutations, only ``rank_xi``
-assembles the coefficient and builds its graph, files are read as
+assembles the coefficient and builds its graph, only ``dep_tests``'
+registry compares or keys the names of the tests, files are read as
 ``utf-8-sig``, caller samples become floats only through
 ``errors.as_real_array``, the public name list is exact, and every public
 function and class has a docstring of its own."""
@@ -328,6 +329,61 @@ def test_only_rank_xi_assembles_the_coefficient(path):
     assert names <= allowed
     if path.name != "nn_graph.py":
         assert names == allowed
+
+
+REGISTRY = "_TESTS"
+
+
+def method_name_uses(source: str, registry: str | None = None) -> list[str]:
+    """Names of tests (the strings of ``METHODS``) compared by ``==``,
+    ``!=``, ``in`` or ``not in`` (alone or inside a literal tuple, list or
+    set) or written as dict keys, by name and line; the keys of a dict
+    assigned to ``registry`` do not count."""
+    tree = ast.parse(source)
+    exempt = {id(node.value) for node in ast.walk(tree)
+              if registry and isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(getattr(target, "id", None) == registry for target in node.targets)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            operands = []
+            for operand in [node.left, *node.comparators]:
+                literal = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                operands += operand.elts if literal else [operand]
+        elif isinstance(node, ast.Dict) and id(node) not in exempt:
+            operands = node.keys
+        else:
+            continue
+        found += [f"{op.value} (line {op.lineno})" for op in operands
+                  if isinstance(op, ast.Constant) and op.value in dep_tests.METHODS]
+    return sorted(found, key=lambda entry: int(entry.split()[-1][:-1]))
+
+
+def test_the_checker_finds_method_name_uses():
+    source = ("if method == 'xi_asymptotic': pass\n"
+              "dcor = 'dcor_permutation' in methods\n"
+              "xi = k not in ('xi_permutation', 'other')\n"
+              "tests = {'xi_permutation': f, **extra}\n"
+              "_TESTS = {'xi_asymptotic': f}\n"
+              "run_test('xi_asymptotic', x, y)\n"
+              "same = method != 'pearson' and method is 'dcor_permutation'\n")
+    assert method_name_uses(source, REGISTRY) == [
+        "xi_asymptotic (line 1)", "dcor_permutation (line 2)", "xi_permutation (line 3)",
+        "xi_permutation (line 4)"]
+    assert method_name_uses(source)[-1] == "xi_asymptotic (line 5)"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_registry_names_the_tests(path):
+    # dep_tests' registry is the one list of the tests: run_test, the
+    # harness and the CLI read it and compare no test name of their own.
+    source = path.read_text(encoding="utf-8")
+    registry = REGISTRY if path.name == "dep_tests.py" else None
+    assert method_name_uses(source, registry) == []
+    if registry:  # the registry is that dict, keyed by every name
+        assert [entry.split()[0] for entry in method_name_uses(source)] == \
+            list(dep_tests.METHODS)
 
 
 def bom_blind_reads(source: str) -> list[str]:
