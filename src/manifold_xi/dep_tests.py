@@ -102,8 +102,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     return _xi_asymptotic(_xi_sample(x, y), alpha, m=m, tail=tail, constants=constants)
 
 
-def _xi_asymptotic(sample: _Sample, alpha: float, *, m: int, tail: str, constants=None,
-                   _stop_at_decision: bool = False) -> TestResult:
+def _xi_asymptotic(sample: _Sample, alpha: float, *, m: int, tail: str,
+                   constants=None) -> TestResult:
     if sample.sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
     if constants is None:
@@ -337,9 +337,9 @@ def _dcor_permutation(sample: _Sample, alpha: float, *, B: int, seed,
 
 
 # The one list of the tests: each test's private form, run on a prepared sample
-# with the arguments it reads (and the harness's stop, which only the permutation
-# tests use), and whether it takes the coefficient (its sample then refuses a
-# constant y; a test that does not centres x's distance matrix).
+# and alpha with the arguments its entry reads (one that reads B also gets the
+# harness's stop), and whether it takes the coefficient (its sample then refuses
+# a constant y; dcor centres x's distances).
 _Test = namedtuple("_Test", "run reads xi")
 _TESTS = {
     "xi_asymptotic": _Test(_xi_asymptotic, ("m", "tail"), xi=True),
@@ -380,15 +380,23 @@ def run_test(method: str, x, y, alpha: float = 0.05, m: int | None = None,
 
 def _run_tests(methods: tuple, x, y, seeds, alpha: float, m: int | None, tail: str,
                B: int, *, _stop_at_decision: bool = False) -> list[TestResult]:
-    """:func:`run_test` of each of ``methods`` (with its seed) on one sample,
-    on checked arguments, by the registry's forms, each given the arguments
-    its entry reads; only the harness sets ``_stop_at_decision``."""
+    """:func:`run_test` of each of ``methods`` (with its seed) on one sample and
+    checked arguments: each registry form gets the arguments its entry reads,
+    and a test that draws ``B`` permutations the stop, which only the harness
+    sets."""
     tests = [_TESTS[method] for method in methods]
-    xi = [test.xi for test in tests]
-    sample = _xi_sample(x, y, xi=any(xi), dcor=not all(xi))
+    sample = _xi_sample(x, y, xi=any(t.xi for t in tests), dcor=not all(t.xi for t in tests))
     given = [dict(m=m, tail=tail, B=B, seed=seed) for seed in seeds]
+    stop = dict(_stop_at_decision=_stop_at_decision)
     return [test.run(sample, alpha, **{name: args[name] for name in test.reads},
-                     _stop_at_decision=_stop_at_decision) for test, args in zip(tests, given)]
+                     **(stop if "B" in test.reads else {})) for test, args in zip(tests, given)]
+
+
+def _warm_constants(methods: tuple, m_grid: tuple) -> None:
+    """Compute each ``m``'s null constants once if one of ``methods`` reads ``m``."""
+    if any("m" in _TESTS[method].reads for method in methods):
+        for m in sorted(set(m_grid)):
+            default_null_constants(m)
 
 
 def result_as_dict(result: TestResult, m: int | None = None) -> dict:

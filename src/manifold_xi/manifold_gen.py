@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .rngs import check_seed, substream
+from .rngs import substream
 
 CASES = ("gaussian", "linear", "quadratic", "cosine", "wshape")
 TRANSFORMS = ("identity", "linear_embed", "manifold_embed")
@@ -138,17 +137,9 @@ def linear_embedding_matrix(m: int, r_seed: int = 0) -> np.ndarray:
     Deterministic in ``(r_seed, m)``: replicates that share ``r_seed`` see
     the same matrix, which is what makes linear-embedding power numbers a
     function of the realized matrix (hash it via :func:`matrix_hash`).
-    Each call returns a writable copy of the matrix drawn once.
     """
-    return _embedding_matrix(check_int("m", m, 1), check_seed(r_seed)).copy()
-
-
-@lru_cache(maxsize=16)
-def _embedding_matrix(m: int, r_seed) -> np.ndarray:
-    """The read-only :func:`linear_embedding_matrix` for checked arguments."""
-    r = substream(r_seed, m).standard_normal((5 * m, m))
-    r.flags.writeable = False
-    return r
+    check_int("m", m, 1)
+    return substream(r_seed, m).standard_normal((5 * m, m))
 
 
 def _as_rows(name: str, value) -> np.ndarray:
@@ -162,7 +153,8 @@ def _as_rows(name: str, value) -> np.ndarray:
 def embed_linear(z: np.ndarray, r_seed: int = 0) -> np.ndarray:
     """Map latent rows through the fixed linear embedding: ``x_i = R z_i``."""
     z = _as_rows("z", z)
-    return z @ _embedding_matrix(check_int("m", z.shape[1], 1), check_seed(r_seed)).T
+    r = linear_embedding_matrix(z.shape[1], r_seed)
+    return z @ r.T
 
 
 def embed_manifold(z: np.ndarray) -> np.ndarray:

@@ -57,7 +57,6 @@ from .rngs import parallel_map, substream, worker_count
 _TIE_RTOL = 1e-9
 
 _BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
-_ONE_BLOCK_ENTRIES = 2**16  # n x n x d up to which one block, in cache, is faster (measured)
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 _SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
@@ -199,16 +198,13 @@ def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
     :func:`_sqdist` fills row block ``[s, e)`` by columns ``[s, n)`` from the
     transposed coordinates and mirrors it, each pair once, in blocks of at
     most ``ceil(n/4)`` rows and ``rows x n x d`` within
-    ``_BRUTE_BLOCK_ENTRIES``; up to ``n x n x d = _ONE_BLOCK_ENTRIES`` one
-    block of all ``n`` rows, whose scratch stays in cache, fills every pair
-    faster.  ``(a - b)**2 == (b - a)**2`` and the squares add in numpy's
-    pairwise order (a tier-1 test pins it): no block changes a value.
+    ``_BRUTE_BLOCK_ENTRIES``.  ``(a - b)**2 == (b - a)**2`` and the squares
+    add in numpy's pairwise order (a tier-1 test pins it): no block changes a value.
     """
     n, d = pts.shape
     cols = np.ascontiguousarray(pts.T)
     out = np.empty((n, n))
-    rows = n if n * n * d <= _ONE_BLOCK_ENTRIES else -(-n // 4)
-    block = max(1, min(rows, _BRUTE_BLOCK_ENTRIES // (n * d)))
+    block = max(1, min(-(-n // 4), _BRUTE_BLOCK_ENTRIES // (n * d)))
     with np.errstate(over="ignore"):
         for start in range(0, n, block):
             end = start + block

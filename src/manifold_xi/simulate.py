@@ -23,9 +23,9 @@ from .dep_tests import (
     METHODS,
     MIN_PERMUTATIONS,
     TAILS,
-    _TESTS,
     _check_alpha,
     _run_tests,
+    _warm_constants,
 )
 from .errors import DatasetFormatError, InvalidInputError, check_choice, check_int, check_real
 from .manifold_gen import (
@@ -37,7 +37,6 @@ from .manifold_gen import (
     linear_embedding_matrix,
     matrix_hash,
 )
-from .null_constants import default_null_constants
 from .rngs import parallel_map, worker_count
 
 CSV_HEADER = "case,transform,m,rho,method,n,reps,rejection_rate,mc_stderr,r_matrix_hash,elapsed_ms"
@@ -188,9 +187,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     """
     cells = list(enumerate(itertools.product(
         config.cases, config.transforms, config.m_grid, config.rho_grid)))
-    if any("m" in _TESTS[method].reads for method in config.methods):  # m's null constants
-        for m in sorted(set(config.m_grid)):
-            default_null_constants(m)  # warm the cache once, off the pool
+    _warm_constants(config.methods, config.m_grid)  # once, off the pool
 
     def run(item) -> list[PowerRecord]:
         index, (case, transform, m, rho) = item

@@ -963,6 +963,23 @@ class TestRunTest:
         with pytest.raises(InvalidInputError, match=f"^{next(iter(bad))} must"):
             run_test(method, x, np.ones(30), **{"m": 1, **bad})
 
+    @pytest.mark.parametrize("test, bad, first", [
+        (xi_test_permutation, dict(B=5), "B must"),
+        (dcor_test_permutation, dict(seed=-1), "seed must"),
+        (xi_test_asymptotic, dict(m=0, tail="bogus"), "m must"),
+        (xi_test_asymptotic, dict(m=1, tail="bogus"), "tail must"),
+        (xi_test_asymptotic, dict(m=None), "xi_asymptotic requires the intrinsic dimension m"),
+    ], ids=["xi_permutation_B", "dcor_seed", "asymptotic_m", "asymptotic_tail",
+            "asymptotic_no_m"])
+    def test_public_tests_check_alpha_last(self, test, bad, first):
+        # The public tests share run_test's one check of the arguments, so
+        # with a bad alpha and another bad argument they name the other one.
+        x = np.random.default_rng(26).random((30, 1))
+        with pytest.raises(InvalidInputError, match=f"^{first}"):
+            test(x, x[:, 0], alpha=2.0, **bad)
+        with pytest.raises(InvalidInputError, match="^alpha must"):
+            test(x, x[:, 0], alpha=2.0, **({"m": 1} if test is xi_test_asymptotic else {}))
+
 
 class TestResultRecord:
     def test_json_record_field_names(self):

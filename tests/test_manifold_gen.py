@@ -20,7 +20,6 @@ from manifold_xi import (
     matrix_hash,
     wshape,
 )
-from manifold_xi import manifold_gen
 from manifold_xi.manifold_gen import (
     read_dataset_csv,
     scenario_metadata,
@@ -137,23 +136,6 @@ class TestEmbeddings:
         x = embed_linear(z, r_seed=1)
         assert x.shape == (60, 10)
         assert np.linalg.matrix_rank(x) <= 2
-
-    def test_public_matrix_is_a_writable_copy_of_the_cached_one(self):
-        cached = manifold_gen._embedding_matrix(3, 8)
-        public = linear_embedding_matrix(3, r_seed=8)
-        assert public.flags.writeable and not cached.flags.writeable
-        assert np.array_equal(public.view(np.int64), cached.view(np.int64))
-        public[0, 0] += 1.0  # changes the caller's copy only
-        assert manifold_gen._embedding_matrix(3, 8) is cached
-        assert np.array_equal(linear_embedding_matrix(3, r_seed=8), cached)
-
-    @pytest.mark.parametrize("r_seed", [[1], -1, 1.5, True])
-    def test_bad_r_seed_refused_before_the_cache(self, r_seed):
-        # an unhashable seed must not reach the cache as a bare TypeError
-        with pytest.raises(InvalidInputError, match="^seed must"):
-            linear_embedding_matrix(2, r_seed)
-        with pytest.raises(InvalidInputError, match="^seed must"):
-            embed_linear(np.eye(2), r_seed)
 
     def test_same_r_seed_shares_matrix_across_data_seeds(self):
         h1 = matrix_hash(linear_embedding_matrix(2, r_seed=5))

@@ -142,19 +142,16 @@ class TestSquaredDistanceKernel:
     @pytest.mark.parametrize("n", [3, 7, 101])
     def test_half_fill_is_symmetric_and_equals_numpy(self, n, monkeypatch):
         # each unordered pair is computed once and mirrored, in row blocks of
-        # ceil(n/4) rows or of the entries bound, none dividing n evenly, or
-        # all pairs in one block of n rows
+        # ceil(n/4) rows or of the entries bound, none dividing n evenly
         rng = np.random.default_rng(n + 40)
         with np.errstate(over="ignore", under="ignore"):
             for d in (1, 3, 9, 130):
                 for scale in (1.0, 1e-160, 1e155):
                     pts = _kernel_cloud(rng, n, d, scale, tied=d == 3)
                     ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
-                    for rows in (None, 1, 2, n):
+                    for rows in (None, 1, 2):
                         if rows is not None:
                             monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", rows * n * d)
-                            monkeypatch.setattr(nn_graph, "_ONE_BLOCK_ENTRIES",
-                                                n * n * d if rows == n else 0)
                         got = nn_graph._pairwise_sqdist(pts)
                         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
                             (d, scale, rows)

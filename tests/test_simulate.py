@@ -18,7 +18,7 @@ from manifold_xi import (
     run_experiment,
     xi_test_asymptotic,
 )
-from manifold_xi import dep_tests, manifold_gen, null_constants, rank_xi, simulate
+from manifold_xi import dep_tests, null_constants, rank_xi, simulate
 from manifold_xi.errors import check_choice, check_int, check_real
 from manifold_xi.manifold_gen import linear_embedding_matrix, matrix_hash
 from manifold_xi.rngs import parallel_map, substream, worker_count
@@ -222,21 +222,6 @@ class TestRunExperiment:
         expected = matrix_hash(linear_embedding_matrix(2, cfg.master_seed))
         assert all(rec.r_matrix_hash == expected for rec in records)
 
-    def test_linear_embed_replicate_reuses_the_matrix(self, monkeypatch):
-        # the cell hashes the cached embedding matrix and every replicate
-        # embeds with it: a replicate draws only its data and its permutations
-        cfg = tiny_config(transforms=("linear_embed",), m_grid=(2,), reps=3,
-                          methods=("xi_asymptotic", "dcor_permutation"))
-        first = simulate._run_cell(0, "linear", "linear_embed", 2, 0.3, cfg)
-        streams = []
-        for module in (manifold_gen, dep_tests):
-            monkeypatch.setattr(module, "substream",
-                                lambda *key: streams.append(key) or substream(*key))
-        again = simulate._run_cell(0, "linear", "linear_embed", 2, 0.3, cfg)
-        assert len(streams) == 2 * cfg.reps
-        assert [(r.method, r.rejection_rate, r.r_matrix_hash) for r in again] == \
-            [(r.method, r.rejection_rate, r.r_matrix_hash) for r in first]
-
     def test_infeasible_gaussian_cell_skipped_not_fatal(self):
         cfg = tiny_config(cases=("gaussian",), m_grid=(30,), rho_grid=(0.0, 0.2))
         records = run_experiment(cfg)
@@ -270,7 +255,7 @@ class TestRunExperiment:
     def test_bad_threads_refused_before_the_constants(self, monkeypatch):
         # the cold null constants take seconds; a bad threads value must not pay them
         warmed = []
-        monkeypatch.setattr(simulate, "default_null_constants", warmed.append)
+        monkeypatch.setattr(dep_tests, "default_null_constants", warmed.append)
         with pytest.raises(InvalidInputError, match="threads"):
             run_experiment(tiny_config(m_grid=(4, 6), methods=("xi_asymptotic",),
                                        threads="two"))
