@@ -26,7 +26,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .nn_graph import _pairwise_sqdist, _prescaled
+from .nn_graph import _differences, _pairwise_sqdist, _prescaled, _rank2_factors
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _Sample, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
@@ -37,6 +37,7 @@ DEFAULT_PERMUTATIONS = 199
 MIN_PERMUTATIONS = 19  # the permutation tests' floor on B
 
 _PERMUTATION_BLOCK_ENTRIES = 2**17  # bound on (permutations x n x n) per block
+_DCOR_ROW_BLOCKS = 4  # row blocks of the packed pairs: 62.5% of the n^2 entries
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,9 @@ def _permuted_cross(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
 
 
 def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
-    """Bound on ``|sum(a * |z_i - z_j|) - n^2 * _permuted_cross(a, b, p)|``
-    over all permutations ``p`` (``z = y[p]``), plus the rounding of
-    ``n^2 * observed``.
+    """Bound on ``|pair_sums(z) - n^2 * _permuted_cross(a, b, p)|`` over all
+    permutations ``p`` (``z = y[p]``, ``pair_sums`` from :func:`_pair_sums`),
+    plus the rounding of ``n^2 * observed``.
 
     Write ``P = ptp(y)``, ``A = sum|a|``, ``N = n^2`` and ``u`` for the unit
     roundoff.  ``b = D - r - c + mean(D)`` with row and column means
@@ -257,12 +258,13 @@ def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
     |sum(a)|``.  First-order rounding, in units of ``u * A * P``:
 
     * ``R`` itself: ``2n + N``;
-    * the fast side, distances and the length-``N`` dot product: ``1 + N``;
+    * the fast side, distances ``1``, the packed weights ``fl(a_ij + a_ji)``
+      ``1`` and their dot product of fewer than ``N`` terms ``N``;
     * ``b``: its distances ``3`` and its three centring operations ``5``;
     * the exact mean (``|b| <= 2P``): products, sum and division
       ``2(N + 2)``; ``n^2 * observed``: ``2``.
 
-    The total, ``4N + 2n + 15``, is below ``4k`` with ``k = N + n + 4``, so
+    The total, ``4N + 2n + 16``, is below ``4k`` with ``k = N + n + 4``, so
     the bound is ``2 P (R + 4 g A)`` with ``g = k u / (1 - k u)``.  The
     factor 2 covers second-order terms and the rounding of the bound
     itself.
@@ -274,6 +276,45 @@ def _dcor_slack(a: np.ndarray, y: np.ndarray) -> float:
     residual = (np.abs(a.sum(axis=1)).sum() + np.abs(a.sum(axis=0)).sum()
                 + abs(a.sum()))
     return 2.0 * float(np.ptp(y)) * float(residual + 4.0 * g * np.abs(a).sum())
+
+
+def _pair_sums(a: np.ndarray, block: int):
+    """``sums(z)``: ``sum_ij a_ij |z_i - z_j|`` for each of up to ``block``
+    rows of ``z``, each unordered pair taken once.
+
+    Row block ``[s, e)`` of ``_DCOR_ROW_BLOCKS`` against columns ``[s, n)``
+    holds each unordered pair once: weight ``a_ij`` on the diagonal square,
+    which holds both orders, and ``fl(a_ij + a_ji)`` beside it, written
+    once into one packed array.  A call fills each block's
+    :func:`_differences` into one packed scratch, allocated here, and
+    takes one ``abs`` and one BLAS product with the weights: 62.5% of the
+    ``n^2`` entries when four blocks divide ``n``.
+    """
+    n = a.shape[0]
+    rows = -(-n // _DCOR_ROW_BLOCKS)
+    blocks, size = [], 0
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        blocks.append((s, e, slice(size, size + (e - s) * (n - s))))
+        size += (e - s) * (n - s)
+    weights = np.empty(size)
+    for s, e, packed in blocks:
+        w = weights[packed].reshape(e - s, n - s)
+        w[:, :e - s] = a[s:e, s:e]
+        np.add(a[s:e, e:], a[e:, s:e].T, out=w[:, e - s:])
+    lhs, rhs = np.ones((block, n, 2)), np.ones((block, 2, n))
+    scratch = np.empty((block, size))
+    fills = [(s, e, scratch[:, packed].reshape(block, e - s, n - s)) for s, e, packed in blocks]
+
+    def sums(z: np.ndarray) -> np.ndarray:
+        m = len(z)
+        factors = _rank2_factors(z, lhs[:m], rhs[:m])
+        for s, e, fill in fills:
+            _differences(*factors, s, e, out=fill[:m])
+        dist = np.abs(scratch[:m], out=scratch[:m])
+        return dist @ weights
+
+    return sums
 
 
 def dcor_test_permutation(x, y, alpha: float = 0.05,
@@ -288,15 +329,17 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
 
     No permuted copy of ``b`` is built.  Because ``a`` is double-centred,
     ``sum(a * b[p][:, p]) = sum_ij a_ij |y[p_i] - y[p_j]|`` in exact
-    arithmetic, so each permutation costs one fill of ``|z_i - z_j|`` and
-    one BLAS dot product.  That fast value decides a permutation only when
+    arithmetic, so each permutation costs one fill of ``|z_i - z_j|`` for
+    each unordered pair once, by the BLAS kernel of the distance matrices,
+    and one BLAS dot product with the symmetrised weights (see
+    :func:`_pair_sums`).  That fast value decides a permutation only when
     it clears ``n^2 * observed`` by a worst-case bound on its rounding and
     on the centring terms that vanish only in exact arithmetic (see
     :func:`_dcor_slack`); any permutation inside the bound is re-decided
     with the exact cross product, so the p-value is the one the direct
     loop gives.  The permutations, the p-value and the harness's stop rule
-    are those of :func:`_permuted_p`; the fill scratch of one block is
-    allocated once per test.
+    are those of :func:`_permuted_p`; the packed weights and the fill
+    scratch of one block are allocated once per test.
     """
     return run_test("dcor_permutation", x, y, alpha, B=B, seed=seed)
 
@@ -311,23 +354,10 @@ def _dcor_permutation(sample: _Sample, alpha: float, *, B: int, seed,
         return TestResult(method="dcor_permutation", statistic=0.0, p_value=1.0,
                           reject=1.0 <= alpha, alpha=alpha, B=B, seed=seed)
     slack = _dcor_slack(a, y)  # before the permutation scratch exists
-    block = _block_rows(n, B)
-    # |z_i - z_j| comes from the rank-2 product [z 1] @ [1 -z]: both products
-    # are exact, so each entry is the rounded z_i - z_j, and BLAS fills it
-    # several times faster than a broadcast subtraction.
-    lhs = np.ones((block, n, 2))
-    rhs = np.ones((block, 2, n))
-    scratch = np.empty((block, n, n))
-    a_flat = a.ravel()
+    pair_sums = _pair_sums(a, _block_rows(n, B))
 
     def exceedances(perms: np.ndarray) -> int:
-        m = len(perms)
-        z = y[perms]
-        lhs[:m, :, 0] = z
-        np.negative(z, out=rhs[:m, 1])
-        dist = np.matmul(lhs[:m], rhs[:m], out=scratch[:m])
-        np.abs(dist, out=dist)
-        gap = dist.reshape(m, -1) @ a_flat - n * n * observed
+        gap = pair_sums(y[perms]) - n * n * observed
         above = gap > slack
         return int(above.sum()) + sum(_permuted_cross(a, b, perms[i]) >= observed
                                       for i in np.flatnonzero(~(above | (gap < -slack))))

@@ -21,11 +21,14 @@ kd-tree kernel for every sample size and ambient dimension, on the cloud
    at a distance that underflows to zero from it, which is the all-pairs
    answer; every other row already points to a group's smallest index.
 
-Every exact squared distance (the all-pairs reference, the candidate check
-and the dcor baseline's distance matrices) comes from one coordinate-major
-kernel, :func:`_sqdist`, whose floats equal numpy's
-``(diff * diff).sum(axis=-1)`` bit for bit.  Its all-pairs reference, the
-argmin of that matrix, is the graph of a harness replicate that runs dcor.
+Every exact squared distance adds its squared coordinate differences in
+one order, :func:`_pairwise_order`'s, so its floats equal numpy's
+``(diff * diff).sum(axis=-1)`` bit for bit.  The tree's candidate check,
+:func:`_sqdist`, subtracts coordinates.  The all-pairs matrices,
+:func:`_pairwise_sqdist` (the reference, whose argmin is the graph of a
+harness replicate that runs dcor, and the dcor baseline's distance
+matrices), take each unordered pair once from one BLAS difference kernel,
+:func:`_differences`, which also fills the dcor permutations' distances.
 
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
@@ -57,6 +60,7 @@ from .rngs import parallel_map, substream, worker_count
 _TIE_RTOL = 1e-9
 
 _BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
+_SQDIST_BLOCK_ENTRIES = 2**16  # squares per pairwise block (fastest at n = 30..600, d = 1..50)
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 _SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
@@ -140,16 +144,15 @@ class EmpiricalConstants:
     geometry: str
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances between coordinate-major points.
+def _pairwise_order(squares, d: int) -> np.ndarray:
+    """``sum_j squares(j)`` over ``d`` coordinates in numpy's pairwise order.
 
-    ``a[j]`` and ``b[j]`` hold coordinate ``j`` and broadcast together; the
-    result is ``sum_j (a[j] - b[j])**2`` with their broadcast shape.  The
-    squared differences are whole-array operations on up to eight
-    coordinates at once, added in numpy's pairwise-summation order for a
-    reduction over ``d`` contiguous values, so the floats equal the
-    row-major ``(diff * diff).sum(axis=-1)`` bit for bit (a tier-1 test
-    pins this):
+    ``squares(start, stop)`` returns a fresh array of the squared
+    differences of coordinates ``[start, stop)``, coordinate axis first;
+    the terms are requested up to eight coordinates at once and added in
+    numpy's pairwise-summation order for a reduction over ``d`` contiguous
+    values, so the floats equal the row-major ``(diff * diff).sum(axis=-1)``
+    bit for bit (a tier-1 test pins this):
 
     * ``d < 8``: one accumulator, coordinates added in order;
     * ``8 <= d <= 128``: eight accumulators, accumulator ``r`` taking the
@@ -158,23 +161,13 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       remaining coordinates added in order;
     * ``d > 128``: split at ``h = d//2 - (d//2) % 8``, sum both parts
       recursively, then add them.
-
-    Every exact distance in this module (the all-pairs reference and the
-    tree's candidate check) comes from this one function, so
-    candidates are compared, and the smallest-index tie rule applied, on
-    identical floating-point values.
     """
-    d = len(a)
     if d > 128:
         half = d // 2 - (d // 2) % 8
-        total = _sqdist(a[:half], b[:half])
-        total += _sqdist(a[half:], b[half:])
+        total = _pairwise_order(squares, half)
+        total += _pairwise_order(lambda start, stop: squares(half + start, half + stop),
+                                 d - half)
         return total
-
-    def squares(start: int, stop: int) -> np.ndarray:
-        diff = np.subtract(a[start:stop], b[start:stop])
-        return np.multiply(diff, diff, out=diff)
-
     if d < 8:
         rest = squares(0, d)
         total, rest = rest[0], rest[1:]
@@ -192,23 +185,76 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean distances between coordinate-major points.
+
+    ``a[j]`` and ``b[j]`` hold coordinate ``j`` and broadcast together; the
+    result is ``sum_j (a[j] - b[j])**2`` with their broadcast shape, the
+    differences taken by whole-array subtraction and summed by
+    :func:`_pairwise_order`.  The tree's candidate check and the copies'
+    tie check use it, so candidates are compared, and the smallest-index
+    tie rule applied, on the floats of the all-pairs reference.
+    """
+    def squares(start: int, stop: int) -> np.ndarray:
+        diff = np.subtract(a[start:stop], b[start:stop])
+        return np.multiply(diff, diff, out=diff)
+
+    return _pairwise_order(squares, len(a))
+
+
+def _rank2_factors(cols: np.ndarray, lhs: np.ndarray | None = None,
+                   rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``[c 1]`` ``(d, n, 2)`` and ``[1 -c]`` ``(d, 2, n)`` of the
+    coordinate-major ``cols`` ``(d, n)``, for :func:`_differences`; given
+    buffers (from an earlier call, their ones kept) are rewritten in place."""
+    d, n = cols.shape
+    if lhs is None:
+        lhs, rhs = np.ones((d, n, 2)), np.ones((d, 2, n))
+    lhs[:, :, 0] = cols
+    np.negative(cols, out=rhs[:, 1])
+    return lhs, rhs
+
+
+def _differences(lhs: np.ndarray, rhs: np.ndarray, start: int, end: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The one pairwise-difference kernel: ``diff[j, i, k] = c[j, start + i]
+    - c[j, start + k]`` for rows ``[start, end)`` against columns ``[start,
+    n)``, from the :func:`_rank2_factors` of ``c``.
+
+    Each entry is the BLAS product ``[c_i 1] . [1 -c_k]``, whose two
+    products are exact, so it is the once-rounded ``c_i - c_k`` that
+    ``np.subtract`` gives (up to the sign of a zero, which squares and
+    ``abs`` drop), at a fraction of a broadcast subtraction's cost.
+    """
+    return np.matmul(lhs[:, start:end], rhs[:, :, start:], out=out)
+
+
 def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
     """Exact ``(n, n)`` squared distances between the rows of ``pts``.
 
-    :func:`_sqdist` fills row block ``[s, e)`` by columns ``[s, n)`` from the
-    transposed coordinates and mirrors it, each pair once, in blocks of at
-    most ``ceil(n/4)`` rows and ``rows x n x d`` within
-    ``_BRUTE_BLOCK_ENTRIES``.  ``(a - b)**2 == (b - a)**2`` and the squares
-    add in numpy's pairwise order (a tier-1 test pins it): no block changes a value.
+    Row block ``[s, e)`` is filled against columns ``[s, n)`` and mirrored,
+    each pair once: the squared :func:`_differences` of up to eight
+    coordinates at a time are summed by :func:`_pairwise_order`.  The rows
+    split evenly into blocks of at most ``_SQDIST_BLOCK_ENTRIES`` squares
+    ``rows x n x min(d, 8)`` (the most one step holds), within
+    ``_BRUTE_BLOCK_ENTRIES`` entries ``rows x n x d``.  ``(a - b)**2 == (b - a)**2`` and the squares
+    add in numpy's pairwise order (a tier-1 test pins it): no block changes
+    a value, and the matrix equals the broadcast ``(diff * diff).sum(-1)``.
     """
     n, d = pts.shape
-    cols = np.ascontiguousarray(pts.T)
+    lhs, rhs = _rank2_factors(pts.T)
     out = np.empty((n, n))
-    block = max(1, min(-(-n // 4), _BRUTE_BLOCK_ENTRIES // (n * d)))
+    blocks = -(-n * n * min(d, 8) // _SQDIST_BLOCK_ENTRIES)
+    block = max(1, min(-(-n // blocks), _BRUTE_BLOCK_ENTRIES // (n * d)))
     with np.errstate(over="ignore"):
         for start in range(0, n, block):
             end = start + block
-            out[start:end, start:] = _sqdist(cols[:, start:end, None], cols[:, None, start:])
+
+            def squares(j: int, k: int) -> np.ndarray:
+                diff = _differences(lhs[j:k], rhs[j:k], start, end)
+                return np.multiply(diff, diff, out=diff)
+
+            out[start:end, start:] = _pairwise_order(squares, d)
             out[end:, start:end] = out[start:end, end:].T
     return out
 
@@ -216,7 +262,9 @@ def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
 def _nn_argmin(d2: np.ndarray) -> np.ndarray:
     """Nearest other rows by the exact :func:`_pairwise_sqdist` matrix ``d2``
     (left unchanged): each row's first minimum off the diagonal."""
-    return np.where(np.eye(len(d2), dtype=bool), np.inf, d2).argmin(axis=1)
+    d2 = d2.copy()
+    np.fill_diagonal(d2, np.inf)
+    return d2.argmin(axis=1)
 
 
 def _nn_brute(pts: np.ndarray) -> np.ndarray:

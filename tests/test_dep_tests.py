@@ -597,6 +597,46 @@ class TestDcorPermutation:
         res = dcor_test_permutation(x, y, B=B, seed=n + B)
         assert (res.statistic, res.p_value) == dcor_permutation_by_gather(x, y, B, n + B)
 
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    @pytest.mark.parametrize("n", [4, 5, 7, 101])
+    def test_packed_pairs_equal_the_gather_loop(self, n, kind):
+        # the four row blocks of the packed fill: one row each at n=4, a short
+        # last block at n=5, 7 and 101; power-of-two scales beyond the
+        # prescale change no bit of the statistic or the p-value
+        x, y = dcor_case(kind, n, np.random.default_rng(n + 50))
+        expected = dcor_permutation_by_gather(x, y, 199, n)
+        for sx, sy in [(1.0, 1.0), (2.0**600, 2.0**600), (2.0**-600, 2.0**-600),
+                       (2.0**300, 2.0**-300), (2.0**-300, 2.0**300)]:
+            res = dcor_test_permutation(x * sx, y * sy, B=199, seed=n)
+            assert (res.statistic, res.p_value) == expected, (sx, sy)
+
+    @pytest.mark.parametrize("case", ["huge", "tiny", "huge_x_tiny_y", "near_constant",
+                                      "one_step"])
+    def test_packed_value_lies_within_the_slack(self, case):
+        # n = 41 leaves the fourth row block short; every block size of
+        # permutations fills the same packed pairs
+        n = 41
+        rng = np.random.default_rng(43)
+        x, y = dcor_case("continuous", n, rng)
+        sx, sy = {"huge": (1e100, 1e100), "tiny": (1e-100, 1e-100),
+                  "huge_x_tiny_y": (1e120, 1e-120)}.get(case, (1.0, 1.0))
+        x, y = x * sx, y * sy
+        if case == "near_constant":
+            y = 1.0 + 1e-12 * rng.random(n)
+        elif case == "one_step":
+            y = np.full(n, 3.0)
+            y[[0, 5]] += 2.0**-40
+        a, b = _centred_distances(x), _centred_distances(y)
+        slack = dep_tests._dcor_slack(a, y)
+        perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(60)])
+        for block in (1, 7, len(perms)):
+            pair_sums = dep_tests._pair_sums(a, block)
+            for start in range(0, len(perms), block):
+                chunk = perms[start:start + block]
+                for perm, fast in zip(chunk, pair_sums(y[chunk])):
+                    exact = n * n * dep_tests._permuted_cross(a, b, perm)
+                    assert abs(fast - exact) <= slack, (block, start)
+
     @pytest.mark.parametrize("kind", ["continuous", "tied", "outlier", "duplicate_x"])
     def test_slack_bounds_the_gather_free_value(self, kind):
         n = 30

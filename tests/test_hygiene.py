@@ -4,7 +4,8 @@
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
-at its decision, only one loop draws permutations, only ``rank_xi``
+at its decision, only one loop draws permutations, only ``nn_graph``'s
+difference kernel calls ``matmul``, only ``rank_xi``
 assembles the coefficient and builds its graph, only ``dep_tests``'
 registry compares or keys the names of the tests, files are read as
 ``utf-8-sig``, caller samples become floats only through
@@ -243,10 +244,10 @@ DRAWS = ("shuffle", "permuted", "permutation")
 PERMUTATION_LOOP = "_permuted_p"
 
 
-def permutation_draws(source: str) -> list[str]:
-    """References to a ``shuffle``, ``permuted`` or ``permutation``
-    attribute (a generator's permutation draws), by the innermost function
-    around them (``<module>`` outside any) and line."""
+def owned_references(source: str, names: tuple) -> list[str]:
+    """References to one of ``names`` (an attribute, a bare name or an
+    import), by the innermost function around them (``<module>`` outside
+    any) and line."""
     found = []
 
     def visit(node, owner):
@@ -254,12 +255,21 @@ def permutation_draws(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in DRAWS:
-                found.append(f"{child.attr} in {owner} (line {child.lineno})")
+            used = [getattr(child, "attr", None) or getattr(child, "id", None)]
+            if isinstance(child, ast.ImportFrom):
+                used = [alias.name for alias in child.names]
+            found.extend(f"{name} in {owner} (line {child.lineno})"
+                         for name in used if name in names)
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def permutation_draws(source: str) -> list[str]:
+    """References to ``shuffle``, ``permuted`` or ``permutation`` (a
+    generator's permutation draws), by owner and line."""
+    return owned_references(source, DRAWS)
 
 
 def test_the_checker_finds_permutation_draws():
@@ -285,6 +295,37 @@ def test_one_loop_draws_the_permutations(path):
     owners = {entry.split()[2] for entry in
               permutation_draws(path.read_text(encoding="utf-8"))}
     assert owners == ({PERMUTATION_LOOP} if path.name == "dep_tests.py" else set())
+
+
+DIFFERENCE_KERNEL = "_differences"
+
+
+def matmul_uses(source: str) -> list[str]:
+    """References to ``matmul`` (``np.matmul``, a bare name or an import),
+    by owner and line; the ``@`` operator is not one."""
+    return owned_references(source, ("matmul",))
+
+
+def test_the_checker_finds_matmul_uses():
+    source = ("def _differences(lhs, rhs):\n"
+              "    return np.matmul(lhs, rhs)\n"
+              "from numpy import matmul\n"
+              "def fill(a, b, out):\n"
+              "    matmul(a, b, out=out)\n"
+              "    return a @ b, np.dot(a, b), 'np.matmul'\n"
+              "product = numpy.matmul\n")
+    assert matmul_uses(source) == [
+        "matmul in _differences (line 2)", "matmul in <module> (line 3)",
+        "matmul in fill (line 5)", "matmul in <module> (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_kernel_forms_pairwise_differences(path):
+    # nn_graph's BLAS difference kernel fills both all-pairs distance
+    # matrices and the dcor permutations' distances; a second matmul would
+    # be a second way to form pairwise differences.
+    owners = {entry.split()[2] for entry in matmul_uses(path.read_text(encoding="utf-8"))}
+    assert owners == ({DIFFERENCE_KERNEL} if path.name == "nn_graph.py" else set())
 
 
 ASSEMBLY = ("build_nn_graph", "_nn_argmin", "_xi_sample", "_xi_statistic")

@@ -134,18 +134,20 @@ class TestSquaredDistanceKernel:
                         assert got.dtype == ref.dtype and got.shape == ref.shape
                         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
                             (n, d, scale, tied)
-                        if scale == 1.0:
-                            assert np.array_equal(nn_graph._pairwise_sqdist(pts), ref)
+                        pairs = nn_graph._pairwise_sqdist(pts)
+                        assert np.array_equal(pairs.view(np.int64), ref.view(np.int64)), \
+                            (n, d, scale, tied)
                         overflowed |= bool(np.isinf(ref).any())
         assert overflowed
 
     @pytest.mark.parametrize("n", [3, 7, 101])
     def test_half_fill_is_symmetric_and_equals_numpy(self, n, monkeypatch):
-        # each unordered pair is computed once and mirrored, in row blocks of
-        # ceil(n/4) rows or of the entries bound, none dividing n evenly
+        # each unordered pair is computed once and mirrored: in the measured
+        # blocks (two of 51 rows at n=101 from d=8, else one) and in blocks
+        # of one or two rows, the entries bound
         rng = np.random.default_rng(n + 40)
         with np.errstate(over="ignore", under="ignore"):
-            for d in (1, 3, 9, 130):
+            for d in (1, 3, 8, 9, 128, 129, 130, 257):
                 for scale in (1.0, 1e-160, 1e155):
                     pts = _kernel_cloud(rng, n, d, scale, tied=d == 3)
                     ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
@@ -194,17 +196,25 @@ class TestSquaredDistanceKernel:
 @pytest.fixture
 def sqdist_blocks(monkeypatch):
     """Record the ``(rows, candidates, d)`` block each exact-distance call
-    covers; a call on 1-D coordinates (the copies' tie check) compares one
-    candidate per row."""
+    covers: a :func:`_sqdist` call's, where one on 1-D coordinates (the
+    copies' tie check) compares one candidate per row, and a call of the
+    all-pairs difference kernel's, which takes rows ``[s, e)`` against
+    columns ``[s, n)`` and at most eight of the ``d`` coordinates."""
     blocks = []
-    exact = nn_graph._sqdist
+    exact, differences = nn_graph._sqdist, nn_graph._differences
 
     def recording(a, b):
         rows, *cands = np.broadcast(a[0], b[0]).shape
         blocks.append((rows, cands[0] if cands else 1, len(a)))
         return exact(a, b)
 
+    def recording_differences(lhs, rhs, start, end, out=None):
+        diff = differences(lhs, rhs, start, end, out)
+        blocks.append(diff.shape[1:] + (len(lhs),))
+        return diff
+
     monkeypatch.setattr(nn_graph, "_sqdist", recording)
+    monkeypatch.setattr(nn_graph, "_differences", recording_differences)
     return blocks
 
 
@@ -364,10 +374,12 @@ class TestTreeBruteEquivalence:
                 return dist, cand
 
         monkeypatch.setattr(nn_graph, "cKDTree", RecordingTree)
+        # the all-pairs matrix: rows [s, s + 7) against columns [s, n), each
+        # unordered pair once, all d < 8 coordinates in one kernel call
         sqdist_blocks.clear()
         monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
         assert (_nn_brute(pts) == one_block).all()
-        assert len(sqdist_blocks) == -(-n // 7)
+        assert sqdist_blocks == [(min(7, n - s), n - s, d) for s in range(0, n, 7)]
         assert max(np.prod(s) for s in sqdist_blocks) <= 7 * n * d
 
         # the tree's first round: (rows, k=3, d) queries and temporaries
