@@ -185,9 +185,8 @@ def _centred_distances(a: np.ndarray, sqdist: np.ndarray | None = None) -> np.nd
 
     The squared distances are ``sqdist`` (shared: never modified) or come
     from :func:`_pairwise_sqdist`, which adds the squared coordinate
-    differences in numpy's pairwise-summation order (a tier-1 test pins it
-    to numpy's), so the matrix equals the broadcast ``sqrt((diff *
-    diff).sum(-1))`` bit for bit.  The square root of a matrix computed
+    differences in one running sum over the coordinates (a tier-1 test pins
+    it to an explicit ``+=`` loop).  The square root of a matrix computed
     here and the centring ``((D - row means) - column means) + grand mean``
     run in place; ``a`` is :func:`_prescaled` first.
     """

@@ -22,13 +22,15 @@ kd-tree kernel for every sample size and ambient dimension, on the cloud
    answer; every other row already points to a group's smallest index.
 
 Every exact squared distance adds its squared coordinate differences in
-one order, :func:`_pairwise_order`'s, so its floats equal numpy's
-``(diff * diff).sum(axis=-1)`` bit for bit.  The tree's candidate check,
-:func:`_sqdist`, subtracts coordinates.  The all-pairs matrices,
-:func:`_pairwise_sqdist` (the reference, whose argmin is the graph of a
-harness replicate that runs dcor, and the dcor baseline's distance
-matrices), take each unordered pair once from one BLAS difference kernel,
-:func:`_differences`, which also fills the dcor permutations' distances.
+one order, coordinate by coordinate in a running sum (numpy's
+``sum(axis=0)`` over a leading coordinate axis, see :func:`_sum_squares`),
+so the tree and the all-pairs scan compare the same floats.  The tree's
+candidate check, :func:`_sqdist`, subtracts coordinates.  The all-pairs
+matrices, :func:`_pairwise_sqdist` (the reference, whose argmin is the
+graph of a harness replicate that runs dcor, and the dcor baseline's
+distance matrices), take each unordered pair once from one BLAS difference
+kernel, :func:`_differences`, which also fills the dcor permutations'
+distances.
 
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
@@ -60,7 +62,7 @@ from .rngs import parallel_map, substream, worker_count
 _TIE_RTOL = 1e-9
 
 _BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
-_SQDIST_BLOCK_ENTRIES = 2**16  # squares per pairwise block (fastest at n = 30..600, d = 1..50)
+_SQDIST_BLOCK_ENTRIES = 2**16  # rows x n x d squares per pairwise block (fastest at n = 30..600, d = 1..50)
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 _SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
@@ -144,62 +146,34 @@ class EmpiricalConstants:
     geometry: str
 
 
-def _pairwise_order(squares, d: int) -> np.ndarray:
-    """``sum_j squares(j)`` over ``d`` coordinates in numpy's pairwise order.
+def _sum_squares(diff: np.ndarray) -> np.ndarray:
+    """``sum_j diff[j]**2`` over the leading coordinate axis of a fresh
+    difference array, squared in place and added by numpy's ``sum(axis=0)``.
 
-    ``squares(start, stop)`` returns a fresh array of the squared
-    differences of coordinates ``[start, stop)``, coordinate axis first;
-    the terms are requested up to eight coordinates at once and added in
-    numpy's pairwise-summation order for a reduction over ``d`` contiguous
-    values, so the floats equal the row-major ``(diff * diff).sum(axis=-1)``
-    bit for bit (a tier-1 test pins this):
-
-    * ``d < 8``: one accumulator, coordinates added in order;
-    * ``8 <= d <= 128``: eight accumulators, accumulator ``r`` taking the
-      coordinates ``j = r (mod 8)`` below ``d - d % 8``, combined as
-      ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
-      remaining coordinates added in order;
-    * ``d > 128``: split at ``h = d//2 - (d//2) % 8``, sum both parts
-      recursively, then add them.
+    When the trailing axes hold two pairs or more, numpy adds the
+    coordinates in order, one running sum (the ``+=`` loop the tier-1
+    tests write out); over a single pair it adds them in its pairwise order
+    from ``d = 8``.  Every tree round and all-pairs block covers two pairs
+    or more (a one-entry block is the zero diagonal), so both compare the
+    same floats; only the copies' ``== 0.0`` check may cover one, and a sum
+    of squares is zero in any order exactly when each square is.  At
+    ``d = 1`` the square is returned as is: numpy's one-term reduce takes
+    three to four times as long as a copy.
     """
-    if d > 128:
-        half = d // 2 - (d // 2) % 8
-        total = _pairwise_order(squares, half)
-        total += _pairwise_order(lambda start, stop: squares(half + start, half + stop),
-                                 d - half)
-        return total
-    if d < 8:
-        rest = squares(0, d)
-        total, rest = rest[0], rest[1:]
-    else:
-        end = d - d % 8
-        acc = squares(0, 8)
-        for start in range(8, end, 8):
-            acc += squares(start, start + 8)
-        acc[0::2] += acc[1::2]
-        acc[0::4] += acc[2::4]
-        acc[0] += acc[4]
-        total, rest = acc[0], squares(end, d)
-    for term in rest:
-        total += term
-    return total
+    np.multiply(diff, diff, out=diff)
+    return diff[0] if len(diff) == 1 else diff.sum(axis=0)
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances between coordinate-major points.
 
     ``a[j]`` and ``b[j]`` hold coordinate ``j`` and broadcast together; the
-    result is ``sum_j (a[j] - b[j])**2`` with their broadcast shape, the
-    differences taken by whole-array subtraction and summed by
-    :func:`_pairwise_order`.  The tree's candidate check and the copies'
-    tie check use it, so candidates are compared, and the smallest-index
-    tie rule applied, on the floats of the all-pairs reference.
+    result is :func:`_sum_squares` of ``a - b``, with their broadcast
+    shape.  The tree's candidate check and the copies' tie check use it, so
+    candidates are compared, and the smallest-index tie rule applied, on
+    the floats of the all-pairs reference.
     """
-    def squares(start: int, stop: int) -> np.ndarray:
-        diff = np.subtract(a[start:stop], b[start:stop])
-        return np.multiply(diff, diff, out=diff)
-
-    return _pairwise_order(squares, len(a))
+    return _sum_squares(np.subtract(a, b))
 
 
 def _rank2_factors(cols: np.ndarray, lhs: np.ndarray | None = None,
@@ -233,28 +207,22 @@ def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
     """Exact ``(n, n)`` squared distances between the rows of ``pts``.
 
     Row block ``[s, e)`` is filled against columns ``[s, n)`` and mirrored,
-    each pair once: the squared :func:`_differences` of up to eight
-    coordinates at a time are summed by :func:`_pairwise_order`.  The rows
-    split evenly into blocks of at most ``_SQDIST_BLOCK_ENTRIES`` squares
-    ``rows x n x min(d, 8)`` (the most one step holds), within
-    ``_BRUTE_BLOCK_ENTRIES`` entries ``rows x n x d``.  ``(a - b)**2 == (b - a)**2`` and the squares
-    add in numpy's pairwise order (a tier-1 test pins it): no block changes
-    a value, and the matrix equals the broadcast ``(diff * diff).sum(-1)``.
+    each pair once, as :func:`_sum_squares` of its :func:`_differences`.
+    The rows split evenly into blocks of at most ``_SQDIST_BLOCK_ENTRIES``
+    squared differences ``rows x n x d``.  ``(a - b)**2 == (b - a)**2``, and
+    every block but a one-entry diagonal covers two pairs or more, so its
+    coordinates add in :func:`_sum_squares`'s running order: no block
+    changes a value, and the argmin is the tree's graph.
     """
     n, d = pts.shape
     lhs, rhs = _rank2_factors(pts.T)
     out = np.empty((n, n))
-    blocks = -(-n * n * min(d, 8) // _SQDIST_BLOCK_ENTRIES)
-    block = max(1, min(-(-n // blocks), _BRUTE_BLOCK_ENTRIES // (n * d)))
+    blocks = -(-n * n * d // _SQDIST_BLOCK_ENTRIES)
+    block = -(-n // blocks)
     with np.errstate(over="ignore"):
         for start in range(0, n, block):
             end = start + block
-
-            def squares(j: int, k: int) -> np.ndarray:
-                diff = _differences(lhs[j:k], rhs[j:k], start, end)
-                return np.multiply(diff, diff, out=diff)
-
-            out[start:end, start:] = _pairwise_order(squares, d)
+            out[start:end, start:] = _sum_squares(_differences(lhs, rhs, start, end))
             out[end:, start:end] = out[start:end, end:].T
     return out
 

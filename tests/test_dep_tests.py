@@ -497,15 +497,20 @@ class TestDistanceCorrelation:
         n = 120
         x = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
-        diff = x[:, None, :] - x[None, :, :]  # the all-at-once reference
-        dist = np.sqrt((diff * diff).sum(axis=-1))
+        # the all-at-once reference, its squares added coordinate by
+        # coordinate in an explicit running sum
+        diff = x[:, None, :] - x[None, :, :]
+        sq = diff[..., 0] * diff[..., 0]
+        for j in range(1, d):
+            sq += diff[..., j] * diff[..., j]
+        dist = np.sqrt(sq)
         reference = (dist - dist.mean(axis=1, keepdims=True)
                      - dist.mean(axis=0, keepdims=True) + dist.mean())
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", n * n * d)
         one_block = dcor_stats(x, y)
         assert np.array_equal(_centred_distances(x), reference)
         bound = 7 * n * d
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", bound)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", bound)
         tracemalloc.start()
         try:
             blocked = dcor_stats(x, y)
@@ -514,9 +519,11 @@ class TestDistanceCorrelation:
             tracemalloc.stop()
         assert blocked == one_block
         assert np.array_equal(_centred_distances(x), reference)
-        # two (rows, n, d) block temporaries live at once, plus at most six
-        # (n, n) matrices: distances, a, b and the products dcor_stats
-        # averages.  The all-at-once difference alone is n * n * d entries.
+        # one (rows, n, d) block of squared differences, its row sums and
+        # the (d, n, 2) difference factors stay within two blocks, plus at
+        # most six (n, n) matrices: distances, a, b and the products
+        # dcor_stats averages.  The all-at-once difference alone is n * n * d
+        # entries.
         assert peak <= 8 * (2 * bound + 6 * n * n)
 
     def test_scratch_peak_stays_near_three_matrices(self):

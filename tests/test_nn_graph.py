@@ -23,7 +23,7 @@ from manifold_xi import (
     xi_test_permutation,
 )
 from manifold_xi import nn_graph
-from manifold_xi.manifold_gen import CASES
+from manifold_xi.manifold_gen import CASES, embed_manifold
 from manifold_xi.nn_graph import _nn_brute, _nn_tree
 from manifold_xi.rngs import substream
 
@@ -91,10 +91,19 @@ class TestBuildGraph:
         assert _nn_brute(pts).tolist() == [1, 2, 1, 1]
 
 
-def _row_major_sqdist(a, b):
-    """The broadcast-and-reduce squared distance the kernel must equal."""
+def _running_sqdist(a, b):
+    """The order the kernels must follow, written out: the squared
+    differences of ``a - b`` (coordinates last) added coordinate by
+    coordinate in a Python ``+=`` loop, whatever numpy's reduce does."""
     diff = a - b
-    return (diff * diff).sum(axis=-1)
+    total = diff[..., 0] * diff[..., 0]
+    for j in range(1, diff.shape[-1]):
+        total += diff[..., j] * diff[..., j]
+    return total
+
+
+def _bits_equal(got, ref):
+    return got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def _kernel_cloud(rng, n, d, scale, tied):
@@ -107,19 +116,20 @@ def _kernel_cloud(rng, n, d, scale, tied):
 
 
 KERNEL_DIMS = list(range(1, 140)) + [200, 257, 300, 513]
-# every branch of the summation order and its edges, for the larger n
+# for the larger n: the edges of numpy's pairwise order (8, 128 and their
+# neighbours), where a kernel that fell back to it would differ first
 KERNEL_EDGE_DIMS = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 137, 257, 513]
 
 
 class TestSquaredDistanceKernel:
-    """The coordinate-major kernel equals numpy's reduction bit for bit.
+    """The kernels add squared differences in one running sum, bit for bit.
 
     Scale 1e-160 makes squares underflow, 1e150 makes them near the top of
     the range and 1e155 makes some of them (and their sums) overflow to inf.
     """
 
     @pytest.mark.parametrize("n", [2, 5, 30, 100, 131])
-    def test_pairwise_equals_numpy_reduction(self, n):
+    def test_pairwise_equals_running_sum(self, n):
         rng = np.random.default_rng(n)
         dims = KERNEL_DIMS if n <= 30 else KERNEL_EDGE_DIMS
         overflowed = False
@@ -128,36 +138,34 @@ class TestSquaredDistanceKernel:
                 for scale in (1.0, 1e-160, 1e150, 1e155):
                     for tied in (False, True):
                         pts = _kernel_cloud(rng, n, d, scale, tied)
-                        ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
+                        ref = _running_sqdist(pts[:, None, :], pts[None, :, :])
                         cols = np.ascontiguousarray(pts.T)
                         got = nn_graph._sqdist(cols[:, :, None], cols[:, None, :])
-                        assert got.dtype == ref.dtype and got.shape == ref.shape
-                        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                        assert got.shape == ref.shape and _bits_equal(got, ref), \
                             (n, d, scale, tied)
                         pairs = nn_graph._pairwise_sqdist(pts)
-                        assert np.array_equal(pairs.view(np.int64), ref.view(np.int64)), \
-                            (n, d, scale, tied)
+                        assert _bits_equal(pairs, ref), (n, d, scale, tied)
                         overflowed |= bool(np.isinf(ref).any())
         assert overflowed
 
     @pytest.mark.parametrize("n", [3, 7, 101])
-    def test_half_fill_is_symmetric_and_equals_numpy(self, n, monkeypatch):
-        # each unordered pair is computed once and mirrored: in the measured
-        # blocks (two of 51 rows at n=101 from d=8, else one) and in blocks
-        # of one or two rows, the entries bound
+    def test_half_fill_is_symmetric_and_equals_running_sum(self, n, monkeypatch):
+        # each unordered pair is computed once and mirrored: in the default
+        # blocks (at n=101: one block at d = 1 and 3, blocks of 51, 6 and 3
+        # rows at d = 8, 128 and 257) and in blocks of one row (the last a
+        # one-entry diagonal) or two rows, the entries bound
         rng = np.random.default_rng(n + 40)
         with np.errstate(over="ignore", under="ignore"):
             for d in (1, 3, 8, 9, 128, 129, 130, 257):
                 for scale in (1.0, 1e-160, 1e155):
                     pts = _kernel_cloud(rng, n, d, scale, tied=d == 3)
-                    ref = _row_major_sqdist(pts[:, None, :], pts[None, :, :])
+                    ref = _running_sqdist(pts[:, None, :], pts[None, :, :])
                     for rows in (None, 1, 2):
                         if rows is not None:
-                            monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", rows * n * d)
+                            monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", rows * n * d)
                         got = nn_graph._pairwise_sqdist(pts)
-                        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
-                            (d, scale, rows)
-                        assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
+                        assert _bits_equal(got, ref), (d, scale, rows)
+                        assert _bits_equal(got, got.T)
                         assert (np.diag(got) == 0.0).all()
                     monkeypatch.undo()
 
@@ -174,47 +182,82 @@ class TestSquaredDistanceKernel:
             gc.enable()
 
     @pytest.mark.parametrize("d", [1, 3, 8, 9, 50, 129, 257])
-    def test_candidate_shape_equals_numpy_reduction(self, d):
-        # the tree pass: (d, rows, k) gathers of the candidates' coordinates
+    def test_candidate_shapes_equal_running_sum(self, d):
+        # the tree's rounds: (d, rows, k) gathers of the candidates'
+        # coordinates, a single row among them, and the all-rows round,
+        # which broadcasts (d, 1, n) against (d, rows, 1)
         rng = np.random.default_rng(d)
-        n, k = 40, 8
+        n = 40
         with np.errstate(over="ignore", under="ignore"):
             for scale in (1.0, 1e-160, 1e155):
                 for tied in (False, True):
                     pts = _kernel_cloud(rng, n, d, scale, tied)
                     cols = np.ascontiguousarray(pts.T)
-                    rows = rng.permutation(n)[:25]
-                    cand = rng.integers(0, n, size=(25, k))
-                    ref = _row_major_sqdist(pts[cand], pts[rows, None, :])
-                    got = nn_graph._sqdist(np.take(cols, cand, axis=1),
-                                           np.take(cols, rows, axis=1)[:, :, None])
-                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                    for rows, k in [(25, 8), (1, 2), (1, 3), (1, 8)]:
+                        picked = rng.permutation(n)[:rows]
+                        cand = rng.integers(0, n, size=(rows, k))
+                        ref = _running_sqdist(pts[cand], pts[picked, None, :])
+                        got = nn_graph._sqdist(np.take(cols, cand, axis=1),
+                                               np.take(cols, picked, axis=1)[:, :, None])
+                        assert _bits_equal(got, ref), (rows, k)
+                        ref = _running_sqdist(pts[None, :, :], pts[picked, None, :])
+                        got = nn_graph._sqdist(cols[:, None, :],
+                                               np.take(cols, picked, axis=1)[:, :, None])
+                        assert _bits_equal(got, ref), (rows, n)
                     row = nn_graph._sqdist(cols, cols[:, 7, None])  # one row against all
-                    assert np.array_equal(row, _row_major_sqdist(pts, pts[7]))
+                    assert _bits_equal(row, _running_sqdist(pts, pts[7]))
+
+    def test_only_the_copies_check_sums_a_single_pair(self, sqdist_blocks):
+        # numpy's sum(axis=0) adds the coordinates in order only when a call
+        # covers two pairs or more; over one pair it takes its pairwise
+        # order from d = 8.  Only the copies' `== 0.0` check, which no order
+        # changes, may ask for one: run the tree on tie-heavy lattices,
+        # duplicate-heavy clouds and clouds whose distances underflow.
+        rng = np.random.default_rng(22)
+        clouds = [_lattice(shape, rng) for shape in [(60,), (12, 12), (6, 6, 6), (4,) * 4]]
+        clouds += [0.1 * grid + 0.3 for grid in clouds]
+        for n, d, levels in [(500, 1, 10), (400, 3, 20), (300, 2, 3), (200, 5, 150), (100, 9, 20)]:
+            base = rng.standard_normal((levels, d))
+            copies = base[rng.integers(0, levels, size=n)]
+            clouds += [copies, np.vstack([copies, rng.standard_normal((n // 4, d))])]
+        clouds += [np.tile([1.5, -2.0], (50, 1)), *underflow_clouds()]
+        for cloud in clouds:
+            _nn_tree(cloud)
+        single = {call.caller for call in sqdist_blocks if call[0] * call[1] == 1}
+        assert single == {"_nn_tree"}
+        assert {call.caller for call in sqdist_blocks} == {"_nn_tree", "one"}
+
+
+class _Call(tuple):
+    """The ``(rows, candidates, d)`` block of one :func:`_sum_squares` call;
+    ``caller`` names the function whose distances it computed."""
+
+    def __new__(cls, block, caller):
+        call = super().__new__(cls, block)
+        call.caller = caller
+        return call
 
 
 @pytest.fixture
 def sqdist_blocks(monkeypatch):
-    """Record the ``(rows, candidates, d)`` block each exact-distance call
-    covers: a :func:`_sqdist` call's, where one on 1-D coordinates (the
-    copies' tie check) compares one candidate per row, and a call of the
-    all-pairs difference kernel's, which takes rows ``[s, e)`` against
-    columns ``[s, n)`` and at most eight of the ``d`` coordinates."""
+    """Record the ``(rows, candidates, d)`` block of every
+    :func:`_sum_squares` call as a :class:`_Call`: the tree's candidate
+    rounds (``one``, a ``(d, rows, k)`` gather), the copies' tie check
+    (``_nn_tree``, ``(d, groups)`` coordinates, one candidate per row) and
+    the all-pairs blocks (``_pairwise_sqdist``, rows ``[s, e)`` against
+    columns ``[s, n)`` in all ``d`` coordinates)."""
     blocks = []
-    exact, differences = nn_graph._sqdist, nn_graph._differences
+    sum_squares = nn_graph._sum_squares
 
-    def recording(a, b):
-        rows, *cands = np.broadcast(a[0], b[0]).shape
-        blocks.append((rows, cands[0] if cands else 1, len(a)))
-        return exact(a, b)
+    def recording(diff):
+        d, rows, cands = (*diff.shape, 1, 1)[:3]
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_sqdist":
+            caller = caller.f_back
+        blocks.append(_Call((rows, cands, d), caller.f_code.co_name))
+        return sum_squares(diff)
 
-    def recording_differences(lhs, rhs, start, end, out=None):
-        diff = differences(lhs, rhs, start, end, out)
-        blocks.append(diff.shape[1:] + (len(lhs),))
-        return diff
-
-    monkeypatch.setattr(nn_graph, "_sqdist", recording)
-    monkeypatch.setattr(nn_graph, "_differences", recording_differences)
+    monkeypatch.setattr(nn_graph, "_sum_squares", recording)
     return blocks
 
 
@@ -361,7 +404,7 @@ class TestTreeBruteEquivalence:
         rng = np.random.default_rng(12)
         n, d = 60, 5
         pts = rng.standard_normal((n, d))
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", n * n * d)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", n * n * d)
         one_block = _nn_brute(pts)
         lattice = _lattice((8, 8), rng)
         lattice_nn = _nn_brute(lattice)
@@ -375,9 +418,9 @@ class TestTreeBruteEquivalence:
 
         monkeypatch.setattr(nn_graph, "cKDTree", RecordingTree)
         # the all-pairs matrix: rows [s, s + 7) against columns [s, n), each
-        # unordered pair once, all d < 8 coordinates in one kernel call
+        # unordered pair once, all d coordinates in one kernel call
         sqdist_blocks.clear()
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * n * d)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", 7 * n * d)
         assert (_nn_brute(pts) == one_block).all()
         assert sqdist_blocks == [(min(7, n - s), n - s, d) for s in range(0, n, 7)]
         assert max(np.prod(s) for s in sqdist_blocks) <= 7 * n * d
@@ -504,6 +547,44 @@ class TestRowFanOut:
         lattices = [_lattice(shape, rng) for shape in [(9, 9), (4, 4, 4), (3,) * 5]]
         for cloud in [*underflow_clouds(count=600), *lattices, *(0.1 * g for g in lattices)]:
             assert (_nn_tree(cloud) == _nn_brute(cloud)).all()
+
+
+def _row_major_nn(pts, rows=50):
+    """Nearest neighbours by the argmin of numpy's row-major broadcast
+    reduction ``(diff * diff).sum(-1)`` (pairwise order from d = 8), the
+    order every benchmark pin was taken in; ``rows`` at a time, which
+    changes no value."""
+    nn = np.empty(len(pts), dtype=np.intp)
+    for start in range(0, len(pts), rows):
+        diff = pts[start:start + rows, None, :] - pts[None, :, :]
+        d2 = (diff * diff).sum(axis=-1)
+        d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
+        nn[start:start + rows] = d2.argmin(axis=1)
+    return nn
+
+
+class TestRowMajorPins:
+    """The graph equals the row-major reduction's on the inputs the
+    benchmark pins, so a summation order that moved an index fails here."""
+
+    def test_desk_study_inputs(self):
+        # drawn as TestTreeBruteEquivalence.test_desk_study_inputs draws them
+        for transform in ("linear_embed", "manifold_embed"):
+            for m in (1, 2, 3, 5, 10):
+                for case in CASES:
+                    for seed in range(4):
+                        x = generate(ScenarioSpec(case, transform, m, 0.0, 100, seed=seed)).x
+                        assert (build_nn_graph(x).nn_index == _row_major_nn(x)).all(), \
+                            (case, transform, m, seed)
+
+    def test_low_dimensional_manifold_in_fifty_coordinates(self):
+        # an m=2 manifold in d=50, built as the benchmark's large inputs
+        # build it: embed_manifold's 10 columns times a fixed 10x50 matrix
+        rng = np.random.default_rng(23)
+        z = rng.uniform(-1.0, 1.0, (800, 2))
+        mix = rng.standard_normal((10, 50))
+        x = (embed_manifold(z)[:, :, None] * mix[None]).sum(axis=1)
+        assert (build_nn_graph(x).nn_index == _row_major_nn(x)).all()
 
 
 class TestMotifs:
