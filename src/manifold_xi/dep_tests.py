@@ -19,14 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import (
-    InvalidInputError,
-    TieError,
-    check_choice,
-    check_int,
-    check_real,
-)
-from .nn_graph import _differences, _pairwise_sqdist, _prescaled, _rank2_factors
+from .errors import (DuplicatePointsError, InvalidInputError, TieError, check_choice,
+                     check_int, check_real)
+from .nn_graph import (_differences, _pairwise_sqdist, _prescaled, _rank2_factors,
+                       _smallest_equal_index)
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _Sample, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
@@ -98,6 +94,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
         If ``y`` is constant; the statistic is meaningless there.
     TieError
         If two responses are equal: ``sigma^2(m)`` assumes a continuous ``y``.
+    DuplicatePointsError
+        If two predictor rows are equal: ``sigma^2(m)`` assumes distinct rows.
     """
     _check_arguments("xi_asymptotic", alpha, m, tail)
     return _xi_asymptotic(_xi_sample(x, y), alpha, m=m, tail=tail, constants=constants)
@@ -107,6 +105,8 @@ def _xi_asymptotic(sample: _Sample, alpha: float, *, m: int, tail: str,
                    constants=None) -> TestResult:
     if sample.sizes.max() > 1:
         raise TieError("tied responses: sigma^2(m) needs a continuous y; use xi_permutation")
+    if (_smallest_equal_index(sample.cloud.points) != np.arange(sample.cloud.n)).any():
+        raise DuplicatePointsError("duplicate x: sigma^2(m) needs distinct x; use xi_permutation")
     if constants is None:
         constants = default_null_constants(m)
     elif not isinstance(constants, NullConstants):

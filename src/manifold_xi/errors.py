@@ -25,7 +25,7 @@ class InvalidInputError(ManifoldXiError, ValueError):
 
 
 class DuplicatePointsError(InvalidInputError):
-    """Duplicate predictor rows under ``xi_n(strict=True)``."""
+    """Duplicate predictor rows under ``xi_n(strict=True)`` or in the asymptotic test."""
 
 
 class TieError(InvalidInputError):

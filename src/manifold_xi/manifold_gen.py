@@ -30,7 +30,6 @@ additive   ``z_j`` i.i.d. uniform on [-1, 1] and
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -212,11 +211,11 @@ def write_dataset_csv(stream, x: np.ndarray, y: np.ndarray) -> None:
 def read_dataset_csv(stream) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``y,x1..xD`` CSV; malformed rows name their line number.
 
-    numpy's C reader parses the body.  When it refuses the body, or finds
-    fewer than two rows or the wrong width, a scan line by line decides:
-    it names the offending line, skips blank lines, and reads the rare
-    spellings ``float`` takes and numpy does not (such as ``1_000``).
-    Either way the arrays are the same, bit for bit.
+    numpy's C reader parses the lines as read, not a copy of them.  When it
+    refuses them, or finds fewer than two rows or the wrong width, a scan
+    line by line decides: it names the offending line, skips blank lines,
+    and reads the rare spellings ``float`` takes and numpy does not (such
+    as ``1_000``).  Either way the arrays are the same, bit for bit.
     """
     header = stream.readline()
     if not header:
@@ -229,9 +228,10 @@ def read_dataset_csv(stream) -> tuple[np.ndarray, np.ndarray]:
     body = "".join(lines)
     # numpy warns on an empty body instead of refusing it, and it takes the
     # separators \x1c-\x1f for whitespace inside a field where float does not
-    if body.strip() and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+    if body and not body.isspace() and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        del body  # numpy parses the lines: drop the joined copy first
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             data = None
         if data is not None and data.shape[0] >= 2 and data.shape[1] == width:

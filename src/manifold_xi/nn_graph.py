@@ -61,8 +61,7 @@ from .rngs import parallel_map, substream, worker_count
 # relative rounding error of a few ulps; 1e-9 is orders of magnitude wider.
 _TIE_RTOL = 1e-9
 
-_BRUTE_BLOCK_ENTRIES = 2**23  # bound on (rows x columns x d) distance scratch at once
-_SQDIST_BLOCK_ENTRIES = 2**16  # rows x n x d squares per pairwise block (fastest at n = 30..600, d = 1..50)
+_SQDIST_BLOCK_ENTRIES = 2**16  # rows x columns x d squares per all-pairs block or tree round
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 _SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
@@ -268,8 +267,8 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     ``cols = pts.T`` and the smallest-index tie rule applied.  A round of
     at least ``_PARALLEL_ROWS`` rows is split into at least one block per
     worker and the blocks run through :func:`parallel_map`, each writing its
-    own slice; the blocks running at once stay within
-    ``_BRUTE_BLOCK_ENTRIES`` together, and no result depends on the split.
+    own slice; those running at once hold at most ``_SQDIST_BLOCK_ENTRIES``
+    squared differences together, and no result depends on the split.
     At ``k = n`` every row is a candidate, in index order: no query, nothing
     to prove.  Returns the chosen indices and a mask of the rows whose list
     cannot provably contain the exact nearest neighbor.
@@ -277,7 +276,7 @@ def _verified_candidates(tree: cKDTree, pts: np.ndarray, cols: np.ndarray,
     n, d = pts.shape
     nn, unsure = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
     workers = worker_count(None) if len(rows) >= _PARALLEL_ROWS else 1
-    block = max(1, min(_BRUTE_BLOCK_ENTRIES // (k * d * workers), -(-len(rows) // workers)))
+    block = max(1, min(_SQDIST_BLOCK_ENTRIES // (k * d * workers), -(-len(rows) // workers)))
 
     def one(start: int) -> None:
         blk = slice(start, start + block)

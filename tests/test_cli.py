@@ -191,6 +191,24 @@ def test_test_tied_response_is_one_error_line(tmp_path, capsys):
     assert "xi_permutation" in lines[0]
 
 
+@pytest.mark.parametrize("kind", ["lattice", "ten_levels"])
+def test_test_duplicate_rows_are_one_error_line(tmp_path, capsys, kind):
+    rng = np.random.default_rng(36)
+    x = rng.integers(0, 6, (100, 2)) if kind == "lattice" else rng.integers(0, 10, (100, 1))
+    path = tmp_path / "levels.csv"
+    with path.open("w") as fh:
+        write_dataset_csv(fh, x.astype(float), rng.random(100))
+    argv = ["test", "--input", path.as_posix(), "--method"]
+    assert cli_dispatch(argv + ["xi_asymptotic", "--dim", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: duplicate x")
+    assert "xi_permutation" in lines[0]
+    assert cli_dispatch(argv + ["xi_permutation", "--permutations", "19"]) == 0
+    capsys.readouterr()
+
+
 def test_test_constant_response_exits_one(tmp_path, capsys):
     path = tmp_path / "const.csv"
     path.write_text("y,x1\n" + "".join(f"2.0,{v}.0\n" for v in range(10)))

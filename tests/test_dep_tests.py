@@ -156,6 +156,46 @@ class TestXiAsymptotic:
             with pytest.raises(TieError, match="xi_permutation"):
                 test()
 
+    @pytest.mark.parametrize("kind", ["lattice", "ten_levels", "one_copy"])
+    def test_duplicate_rows_refused_before_the_constants(self, monkeypatch, kind):
+        # copies of a row all point to one owner, so the graph is a set of
+        # stars that sigma^2(m) does not describe: with x on 10 levels and
+        # an independent y the two-sided size was 0.84 at n=1000
+        def fail(m):
+            raise AssertionError("null constants fetched for duplicate rows")
+
+        monkeypatch.setattr(dep_tests, "default_null_constants", fail)
+        rng = np.random.default_rng(35)
+        x = {"lattice": rng.integers(0, 6, (200, 2)).astype(float),
+             "ten_levels": rng.integers(0, 10, (200, 1)).astype(float),
+             "one_copy": np.r_[rng.random((199, 3)), [[0.5, -0.0, 2.0]]]}[kind]
+        if kind == "one_copy":
+            x[7] = [0.5, 0.0, 2.0]
+        y = rng.random(200)
+        for test in (lambda: xi_test_asymptotic(x, y, m=1),
+                     lambda: run_test("xi_asymptotic", x, y, m=1)):
+            with pytest.raises(DuplicatePointsError, match="xi_permutation"):
+                test()
+        with pytest.raises(TieError):  # the tie check comes first
+            xi_test_asymptotic(x, np.round(y, 1), m=1)
+        assert xi_test_permutation(x, y, B=19).B == 19  # exact for any x
+
+    @pytest.mark.parametrize("n,d,m", [(50, 1, 1), (300, 3, 2), (2000, 2, 2), (225, 2, 2)])
+    def test_distinct_rows_keep_their_result(self, n, d, m):
+        # the duplicate check changes nothing on distinct rows, among them a
+        # full lattice, whose column 0 repeats while its rows do not
+        rng = np.random.default_rng(n + d)
+        x = (np.stack(np.meshgrid(np.arange(15.0), np.arange(15.0)), -1).reshape(-1, 2)
+             if n == 225 else rng.random((n, d)))
+        y = rng.random(n)
+        sigma2 = null_variance(m).sigma2 if m > 1 else EXACT_1D.sigma2
+        z = math.sqrt(n) * xi_n(x, y).value / math.sqrt(sigma2)
+        for tail, p in (("right", float(special.ndtr(-z))),
+                        ("two_sided", 2.0 * float(special.ndtr(-abs(z))))):
+            res = xi_test_asymptotic(x, y, m=m, tail=tail,
+                                     constants=EXACT_1D if m == 1 else None)
+            assert (res.statistic, res.z_score, res.p_value) == (xi_n(x, y).value, z, p)
+
     def test_constants_for_another_m_refused(self):
         rng = np.random.default_rng(33)
         x, y = rng.random((30, 3)), rng.random(30)
@@ -452,6 +492,8 @@ class TestRefusedBeforeTheGraph:
             (DuplicatePointsError, lambda: xi_n(duplicated, y, strict=True)),
             (TieError, lambda: xi_n(x, tied, strict=True)),
             (TieError, lambda: xi_test_asymptotic(x, tied, m=1, constants=EXACT_1D)),
+            (DuplicatePointsError, lambda: xi_test_asymptotic(duplicated, y, m=1,
+                                                              constants=EXACT_1D)),
             (InvalidInputError, lambda: xi_test_asymptotic(x, y, m=3, constants=EXACT_1D)),
             (InvalidInputError, lambda: xi_test_asymptotic(x, y, m=1, constants="bad")),
         ]

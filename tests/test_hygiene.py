@@ -9,8 +9,9 @@ difference kernel calls ``matmul``, only ``rank_xi``
 assembles the coefficient and builds its graph, only ``dep_tests``'
 registry compares or keys the names of the tests, files are read as
 ``utf-8-sig``, caller samples become floats only through
-``errors.as_real_array``, the public name list is exact, and every public
-function and class has a docstring of its own."""
+``errors.as_real_array``, ``nn_graph`` keeps one bound on distance
+scratch, the public name list is exact, and every public function and
+class has a docstring of its own."""
 
 import ast
 import collections
@@ -497,6 +498,36 @@ def test_the_checker_finds_float_conversions():
 def test_samples_become_floats_through_one_helper(name):
     # the points and responses reach these modules as the caller sent them
     assert float_conversions((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def block_constants(source: str) -> list[str]:
+    """Module-level names ending in ``_BLOCK_ENTRIES`` that ``source`` assigns."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found += [name.id for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and name.id.endswith("_BLOCK_ENTRIES")]
+    return found
+
+
+def test_the_checker_finds_block_constants():
+    source = ("_A_BLOCK_ENTRIES = 2**16  # rows x columns x d\n"
+              "_B_BLOCK_ENTRIES: int = 2**23\n"
+              "_C_BLOCK_ENTRIES, OTHER = 1, 2\n"
+              "def f():\n"
+              "    _LOCAL_BLOCK_ENTRIES = 1\n"
+              "block = _A_BLOCK_ENTRIES // 3\n")
+    assert block_constants(source) == ["_A_BLOCK_ENTRIES", "_B_BLOCK_ENTRIES",
+                                       "_C_BLOCK_ENTRIES"]
+
+
+def test_nn_graph_bounds_its_distance_scratch_once():
+    # the tree rounds and the all-pairs blocks share one bound on the
+    # squared differences held at once; a separate tree bound let a round
+    # hold arrays of half the input
+    source = (PACKAGE / "nn_graph.py").read_text(encoding="utf-8")
+    assert block_constants(source) == ["_SQDIST_BLOCK_ENTRIES"]
 
 
 def test_public_names_resolve_and_are_listed_once():

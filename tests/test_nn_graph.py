@@ -427,7 +427,7 @@ class TestTreeBruteEquivalence:
 
         # the tree's first round: (rows, k=3, d) queries and temporaries
         sqdist_blocks.clear()
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 3 * d)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", 7 * 3 * d)
         assert (_nn_tree(pts) == one_block).all()
         assert len(sqdist_blocks) == -(-n // 7) and {s[1] for s in sqdist_blocks} == {3}
         assert queried == sqdist_blocks
@@ -436,7 +436,7 @@ class TestTreeBruteEquivalence:
         # lattice near-ties take the k=8 round: (rows, 8, 2) queries and temporaries
         sqdist_blocks.clear()
         queried.clear()
-        monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", 7 * 8 * 2)
+        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", 7 * 8 * 2)
         assert (_nn_tree(lattice) == lattice_nn).all()
         assert {s[1] for s in sqdist_blocks} == {3, 8}
         assert queried == sqdist_blocks
@@ -515,14 +515,31 @@ class TestRowFanOut:
         # two running at once stay within the bound together
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pts = np.random.default_rng(19).random((nn_graph._PARALLEL_ROWS + 500, 3))
-        for entries in (nn_graph._BRUTE_BLOCK_ENTRIES, 2**16):
-            monkeypatch.setattr(nn_graph, "_BRUTE_BLOCK_ENTRIES", entries)
+        for entries in (nn_graph._SQDIST_BLOCK_ENTRIES, 2**12):
+            monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", entries)
             sqdist_blocks.clear()
             _nn_tree(pts)
             first = [s for s in sqdist_blocks if s[1] == 3]
             assert len(first) >= 2 and sum(rows for rows, _, _ in first) == len(pts)
             assert 2 * max(np.prod(s) for s in first) <= entries
         assert len(first) > 2  # the small bound cuts more blocks than workers
+
+    def test_rounds_at_scale_keep_the_pairwise_bound(self, monkeypatch, sqdist_blocks):
+        # at scale too, with the default bound and two usable CPUs, the blocks
+        # of a round that run at once hold at most the squares of one
+        # all-pairs block, not arrays the size of half the cloud
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pts = np.random.default_rng(21).random((100_000, 3))
+        _nn_tree(pts)
+        rounds = {}
+        for call in sqdist_blocks:
+            assert call.caller == "one"
+            rounds.setdefault(call[1], []).append(call)
+        first = rounds[3]
+        assert len(first) >= 2 and sum(rows for rows, _, _ in first) == len(pts)
+        for blocks in rounds.values():
+            at_once = 2 if sum(rows for rows, _, _ in blocks) >= nn_graph._PARALLEL_ROWS else 1
+            assert at_once * max(np.prod(s) for s in blocks) <= nn_graph._SQDIST_BLOCK_ENTRIES
 
     def test_small_clouds_start_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
