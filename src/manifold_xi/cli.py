@@ -9,6 +9,7 @@ simulate    size/power study from a JSON config (CSV records)
 verify-nng  empirical NN pair/triple frequencies vs the constants
 gen         generate a synthetic dataset (CSV + JSON sidecar)
 
+Stderr carries progress (hidden by ``--quiet``), skipped cells and errors.
 Exit status: 0 on success, 2 on usage errors, 1 on runtime errors.
 ``simulate --threads`` overrides the config's ``threads`` (default: usable CPUs).
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 
 from . import __version__
@@ -81,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV output (default stdout)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--quiet", action="store_true",
-                   help="suppress progress lines (skipped cells still print)")
+                   help="hide progress lines (skipped cells and errors still print)")
 
     p = sub.add_parser("verify-nng", help="empirical pair/triple frequencies")
     p.add_argument("--m", type=int, required=True)
@@ -153,12 +155,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.threads is not None:
         config = dataclasses.replace(config, threads=args.threads)
-    log = None if args.quiet else (lambda line: print(line, file=sys.stderr))
-    records = run_experiment(config, log=log)
-    for rec in records:
-        if rec.skip_reason:
-            print(f"skipped {rec.case}/{rec.transform} m={rec.m} rho={rec.rho:g} "
-                  f"{rec.method}: {rec.skip_reason}", file=sys.stderr)
+    records = run_experiment(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             records_to_csv(records, fh)
@@ -213,11 +210,20 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
+    logger, handler = logging.getLogger(__package__), logging.StreamHandler(sys.stderr)
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
+    logger.propagate = False
     try:
         return _COMMANDS[args.command](args)
     except (ManifoldXiError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        logger.error("error: %s", exc)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 def main() -> None:

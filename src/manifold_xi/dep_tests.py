@@ -89,7 +89,8 @@ def xi_test_asymptotic(x, y, m: int, alpha: float = 0.05,
     ------
     InvalidInputError
         If ``x`` or ``y`` is malformed (checked before the constants) or
-        ``constants`` are not :class:`NullConstants` for this ``m``.
+        ``constants`` are not :class:`NullConstants` for this ``m`` with a
+        positive finite ``sigma2``.
     DegenerateInputError
         If ``y`` is constant; the statistic is meaningless there.
     TieError
@@ -113,6 +114,8 @@ def _xi_asymptotic(sample: _Sample, alpha: float, *, m: int, tail: str,
         raise InvalidInputError(f"constants must be NullConstants, got {type(constants).__name__}")
     elif constants.m != m:
         raise InvalidInputError(f"constants are for m={constants.m}, not m={m}")
+    elif not check_real("constants.sigma2", constants.sigma2, 0.0) > 0.0:
+        raise InvalidInputError(f"constants.sigma2 must be > 0, got {constants.sigma2}")
     _, _, value = _xi_statistic(sample)
     z = math.sqrt(sample.cloud.n) * value / math.sqrt(constants.sigma2)
     # Phi(-z), not 1 - Phi(z): the difference cancels to 0 beyond z ~ 8.3.

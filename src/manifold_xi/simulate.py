@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, fields
@@ -40,6 +41,7 @@ from .manifold_gen import (
 from .rngs import parallel_map, worker_count
 
 CSV_HEADER = "case,transform,m,rho,method,n,reps,rejection_rate,mc_stderr,r_matrix_hash,elapsed_ms"
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,9 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
     base = dict(case=case, transform=transform, m=m, rho=rho, n=config.n,
                 reps=config.reps)
     if skip_reason := _infeasibility(case, m, rho):
+        for method in config.methods:
+            _log.warning("skipped %s/%s m=%s rho=%g %s: %s", case, transform, m, rho,
+                         method, skip_reason)
         return [PowerRecord(**base, method=method, rejection_rate=math.nan,
                             mc_stderr=math.nan, r_matrix_hash=None, elapsed_ms=0,
                             skip_reason=skip_reason) for method in config.methods]
@@ -163,20 +168,21 @@ def _run_cell(cell_index: int, case: str, transform: str, m: int, rho: float,
     for method in config.methods:
         p_hat = counts[method] / config.reps
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / config.reps)
+        _log.info("%s/%s m=%s rho=%g %s: rate=%.4f", case, transform, m, rho, method, p_hat)
         records.append(PowerRecord(**base, method=method, rejection_rate=p_hat,
                                    mc_stderr=stderr, r_matrix_hash=r_hash,
                                    elapsed_ms=elapsed_ms))
     return records
 
 
-def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
+def run_experiment(config: ExperimentConfig) -> list[PowerRecord]:
     """Run every grid cell of a configuration and return sorted records.
 
     Cells run on a thread pool (``config.threads``, default: usable CPUs);
     per-cell seeds are deterministic, so the output does not depend on the
     thread count.  Infeasible gaussian cells are recorded as skipped (see
-    :class:`PowerRecord`) and the run continues.  ``log``, if given, gets
-    a progress line per computed (cell, method), none for skipped cells.
+    :class:`PowerRecord`) and the run continues.  Each computed (cell, method)
+    logs an INFO progress line, each skipped one a WARNING.
 
     Each replicate is prepared once for all its tests: one NN graph, the
     argmin of the distance matrix dcor centres when dcor runs.  A record
@@ -185,24 +191,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> list[PowerRecord]:
     rejection counts, and so the CSV, are those of the public tests, which
     prepare their own samples and draw all ``config.B`` permutations.
     """
-    cells = list(enumerate(itertools.product(
-        config.cases, config.transforms, config.m_grid, config.rho_grid)))
+    cells = [(index, *cell) for index, cell in enumerate(itertools.product(
+        config.cases, config.transforms, config.m_grid, config.rho_grid))]
     _warm_constants(config.methods, config.m_grid)  # once, off the pool
-
-    def run(item) -> list[PowerRecord]:
-        index, (case, transform, m, rho) = item
-        records = _run_cell(index, case, transform, m, rho, config)
-        if log is not None:
-            for rec in records:
-                if not rec.skip_reason:
-                    log(f"{rec.case}/{rec.transform} m={rec.m} rho={rec.rho:g} "
-                        f"{rec.method}: rate={rec.rejection_rate:.4f}")
-        return records
-
-    flat = [rec for records in parallel_map(run, cells, config.threads)
-            for rec in records]
-    flat.sort(key=lambda r: (r.case, r.transform, r.m, r.rho, r.method))
-    return flat
+    records = parallel_map(lambda cell: _run_cell(*cell, config), cells, config.threads)
+    return sorted(itertools.chain.from_iterable(records),
+                  key=lambda r: (r.case, r.transform, r.m, r.rho, r.method))
 
 
 def records_to_csv(records: list[PowerRecord], stream) -> None:

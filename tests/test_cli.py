@@ -1,5 +1,8 @@
+import collections
 import dataclasses
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -358,6 +361,60 @@ def test_simulate_reports_each_skipped_cell_once(tmp_path, capsys, quiet):
     assert {line.split(":")[0].split()[-1] for line in skipped} == {
         "xi_permutation", "dcor_permutation"}
     assert len(err) == (2 if quiet else 4)  # plus one progress line per rate
+
+
+@pytest.fixture
+def skipping_simulate(tmp_path):
+    """``simulate`` argv on the config above: one computed and one skipped cell."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": ["gaussian"], "transforms":
+                                    ["identity"], "m_grid": [5],
+                                    "rho_grid": [0.0, 0.5], "n": 20, "reps": 2,
+                                    "methods": ["xi_permutation", "dcor_permutation"],
+                                    "B": 19}))
+    return ["simulate", "--config", cfg_path.as_posix(),
+            "--out", (tmp_path / "r.csv").as_posix()]
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_simulate_stderr_lines_are_pinned(skipping_simulate, capsys, quiet):
+    # the full text of every line, in any order: progress per computed
+    # (cell, method), which --quiet hides, and one line per skipped one
+    assert cli_dispatch(skipping_simulate + ["--quiet"] * quiet) == 0
+    skipped = [f"skipped gaussian/identity m=5 rho=0.5 {method}: gaussian "
+               "correlation infeasible: m*rho^2=1.25 >= 1"
+               for method in ("xi_permutation", "dcor_permutation")]
+    progress = [f"gaussian/identity m=5 rho=0 {method}: rate=0.0000"
+                for method in ("xi_permutation", "dcor_permutation")]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert collections.Counter(captured.err.splitlines()) == collections.Counter(
+        skipped + progress * (not quiet))
+
+
+def test_each_call_owns_its_stderr_handler(skipping_simulate, tmp_path, capsys):
+    # every line once per call, even with a root handler on stderr, and the
+    # package logger left as it was found after a run, a --quiet run and an error
+    logger, root = logging.getLogger("manifold_xi"), logging.getLogger()
+    extra, root_handler = logging.NullHandler(), logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(extra)
+    logger.setLevel(logging.ERROR)
+    root.addHandler(root_handler)
+    state = (list(logger.handlers), logger.level, logger.propagate)
+    argv = skipping_simulate
+    try:
+        for args, code, count in [(argv, 0, 4), (argv, 0, 4), (argv + ["--quiet"], 0, 2),
+                                  (["xi", "--input", (tmp_path / "no.csv").as_posix()], 1, 1)]:
+            assert cli_dispatch(args) == code
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == len(set(err)) == count
+            assert (list(logger.handlers), logger.level, logger.propagate) == state
+        assert err[0].startswith("error: ")
+    finally:
+        root.removeHandler(root_handler)
+        logger.removeHandler(extra)
+        logger.setLevel(level)
 
 
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -505,6 +506,17 @@ class TestRefusedBeforeTheGraph:
                      lambda: xi_test_asymptotic(x, y, m=1, constants=EXACT_1D)):
             call()
         assert graphs == [40, 40, 40]  # one graph per accepted call, seen by the spy
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_sigma2_refused_before_the_graph(self, graphs, sigma2):
+        # zero divided, a negative one failed in math.sqrt, NaN never
+        # rejected and infinity always gave p = 0.5
+        rng = np.random.default_rng(18)
+        x, y = rng.random((50, 2)), rng.random(50)
+        bad = dataclasses.replace(null_constants.default_null_constants(2), sigma2=sigma2)
+        with pytest.raises(InvalidInputError, match="constants.sigma2"):
+            xi_test_asymptotic(x, y, m=2, constants=bad)
+        assert graphs == []
 
 
 class TestDistanceCorrelation:

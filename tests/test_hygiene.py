@@ -10,8 +10,8 @@ assembles the coefficient and builds its graph, only ``dep_tests``'
 registry compares or keys the names of the tests, files are read as
 ``utf-8-sig``, caller samples become floats only through
 ``errors.as_real_array``, ``nn_graph`` keeps one bound on distance
-scratch, the public name list is exact, and every public function and
-class has a docstring of its own."""
+scratch, no module writes to stderr itself, the public name list is exact,
+and every public function and class has a docstring of its own."""
 
 import ast
 import collections
@@ -528,6 +528,41 @@ def test_nn_graph_bounds_its_distance_scratch_once():
     # hold arrays of half the input
     source = (PACKAGE / "nn_graph.py").read_text(encoding="utf-8")
     assert block_constants(source) == ["_SQDIST_BLOCK_ENTRIES"]
+
+
+def stderr_writes(source: str) -> list[str]:
+    """``print`` calls given a ``file=`` and ``write`` calls on ``sys.stderr``
+    (or a bare ``stderr``), by line: progress, warnings and errors are
+    ``logging`` records, and results print to stdout."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", None) == "print" and any(kw.arg == "file" for kw in node.keywords):
+            found.append(f"print (line {node.lineno})")
+        elif getattr(func, "attr", None) == "write" and (
+                getattr(func.value, "attr", None) or getattr(func.value, "id", None)) == "stderr":
+            found.append(f"stderr.write (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_stderr_writes():
+    source = ("print('progress', file=sys.stderr)\n"
+              "sys.stderr.write('warning\\n')\n"
+              "print('row', file=fh)\n"
+              "stderr.write('x')\n"
+              "print('result')\n"
+              "sys.stdout.write('row\\n')\n"
+              "logging.StreamHandler(sys.stderr)\n"
+              "stream.write('row\\n')\n")
+    assert stderr_writes(source) == ["print (line 1)", "stderr.write (line 2)",
+                                     "print (line 3)", "stderr.write (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_writes_to_stderr_itself(path):
+    assert stderr_writes(path.read_text(encoding="utf-8")) == []
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -1,5 +1,8 @@
+import collections
+import dataclasses
 import io
 import json
+import logging
 import math
 
 import numpy as np
@@ -235,6 +238,26 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError) as refused:
             ScenarioSpec("gaussian", "identity", m=4, rho=0.5, n=30)
         assert [r.skip_reason for r in records] == [str(refused.value)]
+
+    def test_each_record_is_logged_once_at_its_level(self, caplog):
+        # progress per computed (cell, method) at INFO; a skipped one warns,
+        # so a caller without logging set up still hears of its NaN rates
+        cfg = tiny_config(cases=("gaussian",), m_grid=(5,), rho_grid=(0.0, 0.5),
+                          methods=("xi_permutation", "dcor_permutation"), threads=2)
+        runs = []
+        for level in (logging.INFO, logging.WARNING):
+            caplog.clear()
+            caplog.set_level(level, logger="manifold_xi.simulate")
+            records = run_experiment(cfg)
+            logged = collections.Counter(
+                (rec.levelno, rec.getMessage().split(":")[0].split()[-1])
+                for rec in caplog.records if rec.name == "manifold_xi.simulate")
+            assert logged == collections.Counter(
+                (logging.WARNING if r.skip_reason else logging.INFO, r.method)
+                for r in records if r.skip_reason or level == logging.INFO)
+            runs.append([dataclasses.replace(r, elapsed_ms=0) for r in records])
+        assert sum(r.skip_reason is not None for r in runs[0]) == 2
+        assert runs[0] == runs[1]
 
     def test_power_increases_with_dependence(self):
         cfg = tiny_config(cases=("linear",), transforms=("identity",),
