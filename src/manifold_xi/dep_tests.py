@@ -21,8 +21,7 @@ from scipy import special
 
 from .errors import (DuplicatePointsError, InvalidInputError, TieError, check_choice,
                      check_int, check_real)
-from .nn_graph import (_differences, _pairwise_sqdist, _prescaled, _rank2_factors,
-                       _smallest_equal_index)
+from .nn_graph import _pairwise_sqdist, _prescaled, _smallest_equal_index
 from .null_constants import NullConstants, default_null_constants
 from .rank_xi import _Sample, _xi_sample, _xi_statistic
 from .rngs import check_seed, substream
@@ -287,10 +286,11 @@ def _pair_sums(a: np.ndarray, block: int):
     Row block ``[s, e)`` of ``_DCOR_ROW_BLOCKS`` against columns ``[s, n)``
     holds each unordered pair once: weight ``a_ij`` on the diagonal square,
     which holds both orders, and ``fl(a_ij + a_ji)`` beside it, written
-    once into one packed array.  A call fills each block's
-    :func:`_differences` into one packed scratch, allocated here, and
-    takes one ``abs`` and one BLAS product with the weights: 62.5% of the
-    ``n^2`` entries when four blocks divide ``n``.
+    once into one packed array.  A call fills each block's differences
+    ``z_i - z_k`` into one packed scratch, allocated here, as the BLAS
+    product of the factors ``[z_i 1]`` and ``[1 -z_k]``, and takes one
+    ``abs`` and one BLAS product with the weights: 62.5% of the ``n^2``
+    entries when four blocks divide ``n``.
     """
     n = a.shape[0]
     rows = -(-n // _DCOR_ROW_BLOCKS)
@@ -310,9 +310,13 @@ def _pair_sums(a: np.ndarray, block: int):
 
     def sums(z: np.ndarray) -> np.ndarray:
         m = len(z)
-        factors = _rank2_factors(z, lhs[:m], rhs[:m])
+        # both products of [z_i 1] . [1 -z_k] are exact, so each entry is
+        # the once-rounded z_i - z_k (up to the sign of a zero, which abs
+        # drops), at a fraction of a broadcast subtraction's cost
+        lhs[:m, :, 0] = z
+        np.negative(z, out=rhs[:m, 1])
         for s, e, fill in fills:
-            _differences(*factors, s, e, out=fill[:m])
+            np.matmul(lhs[:m, s:e], rhs[:m, :, s:], out=fill[:m])
         dist = np.abs(scratch[:m], out=scratch[:m])
         return dist @ weights
 
@@ -332,16 +336,16 @@ def dcor_test_permutation(x, y, alpha: float = 0.05,
     No permuted copy of ``b`` is built.  Because ``a`` is double-centred,
     ``sum(a * b[p][:, p]) = sum_ij a_ij |y[p_i] - y[p_j]|`` in exact
     arithmetic, so each permutation costs one fill of ``|z_i - z_j|`` for
-    each unordered pair once, by the BLAS kernel of the distance matrices,
-    and one BLAS dot product with the symmetrised weights (see
-    :func:`_pair_sums`).  That fast value decides a permutation only when
-    it clears ``n^2 * observed`` by a worst-case bound on its rounding and
-    on the centring terms that vanish only in exact arithmetic (see
-    :func:`_dcor_slack`); any permutation inside the bound is re-decided
-    with the exact cross product, so the p-value is the one the direct
-    loop gives.  The permutations, the p-value and the harness's stop rule
-    are those of :func:`_permuted_p`; the packed weights and the fill
-    scratch of one block are allocated once per test.
+    each unordered pair once, by a rank-2 BLAS product, and one BLAS dot
+    product with the symmetrised weights (see :func:`_pair_sums`).  That
+    fast value decides a permutation only when it clears ``n^2 * observed``
+    by a worst-case bound on its rounding and on the centring terms that
+    vanish only in exact arithmetic (see :func:`_dcor_slack`); any
+    permutation inside the bound is re-decided with the exact cross
+    product, so the p-value is the one the direct loop gives.  The
+    permutations, the p-value and the harness's stop rule are those of
+    :func:`_permuted_p`; the packed weights and the fill scratch of one
+    block are allocated once per test.
     """
     return run_test("dcor_permutation", x, y, alpha, B=B, seed=seed)
 

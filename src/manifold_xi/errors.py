@@ -76,8 +76,9 @@ def as_real_array(name: str, value) -> np.ndarray:
     """``value`` as an array of floats, the array itself if it is one.
 
     A value numpy cannot read as real numbers (text, ragged rows, a
-    mapping) raises :class:`InvalidInputError` naming ``name``, not numpy's
-    ``ValueError`` or ``TypeError``, and so does a complex value, whose
+    mapping, an integer beyond the float range) raises
+    :class:`InvalidInputError` naming ``name``, not numpy's ``ValueError``,
+    ``TypeError`` or ``OverflowError``, and so does a complex value, whose
     imaginary part a cast to float would drop.
     """
     try:
@@ -85,6 +86,6 @@ def as_real_array(name: str, value) -> np.ndarray:
         if arr.dtype.kind != "c" and not (arr.dtype == object and any(
                 isinstance(v, (complex, np.complexfloating)) for v in arr.flat)):
             return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
     raise InvalidInputError(f"{name} must hold real numbers, got complex values")

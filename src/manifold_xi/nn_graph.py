@@ -22,15 +22,14 @@ kd-tree kernel for every sample size and ambient dimension, on the cloud
    answer; every other row already points to a group's smallest index.
 
 Every exact squared distance adds its squared coordinate differences in
-one order, coordinate by coordinate in a running sum (numpy's
-``sum(axis=0)`` over a leading coordinate axis, see :func:`_sum_squares`),
-so the tree and the all-pairs scan compare the same floats.  The tree's
-candidate check, :func:`_sqdist`, subtracts coordinates.  The all-pairs
-matrices, :func:`_pairwise_sqdist` (the reference, whose argmin is the
-graph of a harness replicate that runs dcor, and the dcor baseline's
-distance matrices), take each unordered pair once from one BLAS difference
-kernel, :func:`_differences`, which also fills the dcor permutations'
-distances.
+one order, coordinate by coordinate in a running sum, so the tree and the
+all-pairs scan compare the same floats.  The tree's candidate check,
+:func:`_sqdist`, subtracts coordinates and adds by numpy's ``sum(axis=0)``
+over a leading coordinate axis (see :func:`_sum_squares`).  The all-pairs
+matrix, :func:`_pairwise_sqdist` (the reference, whose argmin is the graph
+of a harness replicate that runs dcor, and the dcor baseline's distance
+matrices), is scipy's ``cdist(..., "sqeuclidean")``, which adds in the
+same order; a tier-1 test pins both to an explicit running sum.
 
 Two structural motifs of this graph drive the null variance of the rank
 correlation coefficient:
@@ -51,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import cKDTree, distance
 
 from .errors import DuplicatePointsError, InvalidInputError, as_real_array, check_choice, check_int
 from .rngs import parallel_map, substream, worker_count
@@ -61,7 +60,7 @@ from .rngs import parallel_map, substream, worker_count
 # relative rounding error of a few ulps; 1e-9 is orders of magnitude wider.
 _TIE_RTOL = 1e-9
 
-_SQDIST_BLOCK_ENTRIES = 2**16  # rows x columns x d squares per all-pairs block or tree round
+_SQDIST_BLOCK_ENTRIES = 2**16  # rows x k x d squares held at once by a tree round
 _PARALLEL_ROWS = 10_000  # rounds this long split over the workers (measured crossover, d=3)
 _SCALE_EXPONENT = 256  # clouds whose largest coordinate lies in 2**±this are not rescaled
 GEOMETRIES = ("cube", "torus")  # metrics of estimate_constants_empirical
@@ -152,12 +151,12 @@ def _sum_squares(diff: np.ndarray) -> np.ndarray:
     When the trailing axes hold two pairs or more, numpy adds the
     coordinates in order, one running sum (the ``+=`` loop the tier-1
     tests write out); over a single pair it adds them in its pairwise order
-    from ``d = 8``.  Every tree round and all-pairs block covers two pairs
-    or more (a one-entry block is the zero diagonal), so both compare the
-    same floats; only the copies' ``== 0.0`` check may cover one, and a sum
-    of squares is zero in any order exactly when each square is.  At
-    ``d = 1`` the square is returned as is: numpy's one-term reduce takes
-    three to four times as long as a copy.
+    from ``d = 8``.  Every tree round covers two pairs or more, so it
+    compares the floats of the all-pairs reference; only the copies'
+    ``== 0.0`` check may cover one, and a sum of squares is zero in any
+    order exactly when each square is.  At ``d = 1`` the square is
+    returned as is: numpy's one-term reduce takes three to four times as
+    long as a copy.
     """
     np.multiply(diff, diff, out=diff)
     return diff[0] if len(diff) == 1 else diff.sum(axis=0)
@@ -175,55 +174,12 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sum_squares(np.subtract(a, b))
 
 
-def _rank2_factors(cols: np.ndarray, lhs: np.ndarray | None = None,
-                   rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The factors ``[c 1]`` ``(d, n, 2)`` and ``[1 -c]`` ``(d, 2, n)`` of the
-    coordinate-major ``cols`` ``(d, n)``, for :func:`_differences`; given
-    buffers (from an earlier call, their ones kept) are rewritten in place."""
-    d, n = cols.shape
-    if lhs is None:
-        lhs, rhs = np.ones((d, n, 2)), np.ones((d, 2, n))
-    lhs[:, :, 0] = cols
-    np.negative(cols, out=rhs[:, 1])
-    return lhs, rhs
-
-
-def _differences(lhs: np.ndarray, rhs: np.ndarray, start: int, end: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The one pairwise-difference kernel: ``diff[j, i, k] = c[j, start + i]
-    - c[j, start + k]`` for rows ``[start, end)`` against columns ``[start,
-    n)``, from the :func:`_rank2_factors` of ``c``.
-
-    Each entry is the BLAS product ``[c_i 1] . [1 -c_k]``, whose two
-    products are exact, so it is the once-rounded ``c_i - c_k`` that
-    ``np.subtract`` gives (up to the sign of a zero, which squares and
-    ``abs`` drop), at a fraction of a broadcast subtraction's cost.
-    """
-    return np.matmul(lhs[:, start:end], rhs[:, :, start:], out=out)
-
-
 def _pairwise_sqdist(pts: np.ndarray) -> np.ndarray:
-    """Exact ``(n, n)`` squared distances between the rows of ``pts``.
-
-    Row block ``[s, e)`` is filled against columns ``[s, n)`` and mirrored,
-    each pair once, as :func:`_sum_squares` of its :func:`_differences`.
-    The rows split evenly into blocks of at most ``_SQDIST_BLOCK_ENTRIES``
-    squared differences ``rows x n x d``.  ``(a - b)**2 == (b - a)**2``, and
-    every block but a one-entry diagonal covers two pairs or more, so its
-    coordinates add in :func:`_sum_squares`'s running order: no block
-    changes a value, and the argmin is the tree's graph.
-    """
-    n, d = pts.shape
-    lhs, rhs = _rank2_factors(pts.T)
-    out = np.empty((n, n))
-    blocks = -(-n * n * d // _SQDIST_BLOCK_ENTRIES)
-    block = -(-n // blocks)
-    with np.errstate(over="ignore"):
-        for start in range(0, n, block):
-            end = start + block
-            out[start:end, start:] = _sum_squares(_differences(lhs, rhs, start, end))
-            out[end:, start:end] = out[start:end, end:].T
-    return out
+    """Exact ``(n, n)`` squared distances between the rows of ``pts``:
+    scipy's ``cdist(pts, pts, "sqeuclidean")``, which adds each pair's
+    squared differences in :func:`_sum_squares`'s running order, so the
+    argmin is the tree's graph."""
+    return distance.cdist(pts, pts, "sqeuclidean")
 
 
 def _nn_argmin(d2: np.ndarray) -> np.ndarray:

@@ -546,7 +546,7 @@ class TestDistanceCorrelation:
             dcor_stats(np.zeros((3, 1)), np.zeros(3))
 
     @pytest.mark.parametrize("d", [1, 5, 17, 50])
-    def test_distance_blocks_bound_scratch_and_keep_values(self, d, monkeypatch):
+    def test_distance_blocks_bound_scratch_and_keep_values(self, d):
         rng = np.random.default_rng(16)
         n = 120
         x = rng.standard_normal((n, d))
@@ -560,25 +560,17 @@ class TestDistanceCorrelation:
         dist = np.sqrt(sq)
         reference = (dist - dist.mean(axis=1, keepdims=True)
                      - dist.mean(axis=0, keepdims=True) + dist.mean())
-        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", n * n * d)
-        one_block = dcor_stats(x, y)
         assert np.array_equal(_centred_distances(x), reference)
-        bound = 7 * n * d
-        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", bound)
         tracemalloc.start()
         try:
-            blocked = dcor_stats(x, y)
+            dcor_stats(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert blocked == one_block
-        assert np.array_equal(_centred_distances(x), reference)
-        # one (rows, n, d) block of squared differences, its row sums and
-        # the (d, n, 2) difference factors stay within two blocks, plus at
-        # most six (n, n) matrices: distances, a, b and the products
-        # dcor_stats averages.  The all-at-once difference alone is n * n * d
-        # entries.
-        assert peak <= 8 * (2 * bound + 6 * n * n)
+        # three (n, n) matrices: a (the distances, centred in place), b and
+        # the one product buffer dcor_stats averages.  The all-at-once
+        # difference alone is n * n * d entries.
+        assert peak <= 3.5 * 8 * n * n
 
     def test_scratch_peak_stays_near_three_matrices(self):
         # a, b and one reused product buffer (stats), or a, b, one block of
@@ -977,6 +969,7 @@ class TestNonRealInput:
         "text": ([["a"], ["b"], ["c"], ["d"]], ["a", "b", "c", "d"]),
         "ragged": ([[1.0], [2.0, 3.0], [4.0], [5.0]], [1.0, [2.0, 3.0], 4.0, 5.0]),
         "mapping": ({"a": 1}, {"a": 1}),
+        "too_large_int": ([[10**400], [1], [2], [3]], [10**400, 1, 2, 3]),
     }
     CALLS = {
         "xi_n": xi_n,

@@ -4,9 +4,10 @@
 every ``check_choice`` call reads its choices from a named constant, work
 fans out only through ``rngs.parallel_map``, no module reads the process
 environment, only the simulation harness asks a permutation test to stop
-at its decision, only one loop draws permutations, only ``nn_graph``'s
-difference kernel calls ``matmul``, only ``rank_xi``
-assembles the coefficient and builds its graph, only ``dep_tests``'
+at its decision, only one loop draws permutations, only dcor's
+permutation fill calls ``matmul``, only ``nn_graph``'s all-pairs reference
+names scipy's all-pairs distance kernels, only ``rank_xi`` assembles the
+coefficient and builds its graph, only ``dep_tests``'
 registry compares or keys the names of the tests, files are read as
 ``utf-8-sig``, caller samples become floats only through
 ``errors.as_real_array``, ``nn_graph`` keeps one bound on distance
@@ -298,7 +299,7 @@ def test_one_loop_draws_the_permutations(path):
     assert owners == ({PERMUTATION_LOOP} if path.name == "dep_tests.py" else set())
 
 
-DIFFERENCE_KERNEL = "_differences"
+DIFFERENCE_KERNEL = "sums"  # dep_tests._pair_sums' closure
 
 
 def matmul_uses(source: str) -> list[str]:
@@ -322,11 +323,44 @@ def test_the_checker_finds_matmul_uses():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_kernel_forms_pairwise_differences(path):
-    # nn_graph's BLAS difference kernel fills both all-pairs distance
-    # matrices and the dcor permutations' distances; a second matmul would
-    # be a second way to form pairwise differences.
+    # dcor's permutation fill forms its differences by one rank-2 BLAS
+    # product; a second matmul would be a second way to form pairwise
+    # differences.
     owners = {entry.split()[2] for entry in matmul_uses(path.read_text(encoding="utf-8"))}
-    assert owners == ({DIFFERENCE_KERNEL} if path.name == "nn_graph.py" else set())
+    assert owners == ({DIFFERENCE_KERNEL} if path.name == "dep_tests.py" else set())
+
+
+ALL_PAIRS_REFERENCE = "_pairwise_sqdist"
+ALL_PAIRS_KERNELS = ("cdist", "pdist", "distance_matrix")  # scipy's
+
+
+def all_pairs_kernel_uses(source: str) -> list[str]:
+    """References to scipy's all-pairs distance kernels (an attribute, a
+    bare name or an import), by owner and line."""
+    return owned_references(source, ALL_PAIRS_KERNELS)
+
+
+def test_the_checker_finds_all_pairs_kernel_uses():
+    source = ("from scipy.spatial.distance import cdist\n"
+              "def _pairwise_sqdist(pts):\n"
+              "    return distance.cdist(pts, pts, 'sqeuclidean')\n"
+              "def other(a):\n"
+              "    return pdist(a), spatial.distance_matrix(a, a), 'cdist'\n"
+              "kernel = scipy.spatial.distance.cdist\n")
+    assert all_pairs_kernel_uses(source) == [
+        "cdist in <module> (line 1)", "cdist in _pairwise_sqdist (line 3)",
+        "pdist in other (line 5)", "distance_matrix in other (line 5)",
+        "cdist in <module> (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_all_pairs_distance_kernel(path):
+    # every exact all-pairs matrix comes from nn_graph's one cdist call,
+    # whose order a tier-1 test pins; a second all-pairs kernel could add
+    # the squares in another order and change a graph.
+    owners = {entry.split()[2] for entry in
+              all_pairs_kernel_uses(path.read_text(encoding="utf-8"))}
+    assert owners == ({ALL_PAIRS_REFERENCE} if path.name == "nn_graph.py" else set())
 
 
 ASSEMBLY = ("build_nn_graph", "_nn_argmin", "_xi_sample", "_xi_statistic")
@@ -523,9 +557,8 @@ def test_the_checker_finds_block_constants():
 
 
 def test_nn_graph_bounds_its_distance_scratch_once():
-    # the tree rounds and the all-pairs blocks share one bound on the
-    # squared differences held at once; a separate tree bound let a round
-    # hold arrays of half the input
+    # one bound on the squared differences the tree rounds hold at once; a
+    # second bound let a round hold arrays of half the input
     source = (PACKAGE / "nn_graph.py").read_text(encoding="utf-8")
     assert block_constants(source) == ["_SQDIST_BLOCK_ENTRIES"]
 

@@ -341,8 +341,8 @@ class TestNonRealInput:
     """Array arguments that are not real numbers are refused, never cast."""
 
     @pytest.mark.parametrize("bad", [np.array([[1 + 1j], [2], [3]]), [["a"], ["b"], ["c"]],
-                                     [[1.0], [2.0, 3.0], [4.0]]],
-                             ids=["complex", "text", "ragged"])
+                                     [[1.0], [2.0, 3.0], [4.0]], [[10**400], [1], [2]]],
+                             ids=["complex", "text", "ragged", "too_large_int"])
     @pytest.mark.parametrize("call, name", [
         (wshape, "x"),
         (embed_linear, "z"),

@@ -143,31 +143,29 @@ class TestSquaredDistanceKernel:
                         got = nn_graph._sqdist(cols[:, :, None], cols[:, None, :])
                         assert got.shape == ref.shape and _bits_equal(got, ref), \
                             (n, d, scale, tied)
-                        pairs = nn_graph._pairwise_sqdist(pts)
-                        assert _bits_equal(pairs, ref), (n, d, scale, tied)
+                        # as_real_array passes views through uncopied
+                        for layout, view in [("C", pts), ("F", np.asfortranarray(pts)),
+                                             ("strided", np.repeat(pts, 2, axis=1)[:, ::2]),
+                                             ("reversed", pts[:, ::-1].copy()[:, ::-1])]:
+                            pairs = nn_graph._pairwise_sqdist(view)
+                            assert _bits_equal(pairs, ref), (n, d, scale, tied, layout)
                         overflowed |= bool(np.isinf(ref).any())
         assert overflowed
 
     @pytest.mark.parametrize("n", [3, 7, 101])
-    def test_half_fill_is_symmetric_and_equals_running_sum(self, n, monkeypatch):
-        # each unordered pair is computed once and mirrored: in the default
-        # blocks (at n=101: one block at d = 1 and 3, blocks of 51, 6 and 3
-        # rows at d = 8, 128 and 257) and in blocks of one row (the last a
-        # one-entry diagonal) or two rows, the entries bound
+    def test_half_fill_is_symmetric_and_equals_running_sum(self, n):
+        # (a - b)**2 == (b - a)**2: the matrix is symmetric bit for bit and
+        # its diagonal is zero, at every scale
         rng = np.random.default_rng(n + 40)
         with np.errstate(over="ignore", under="ignore"):
             for d in (1, 3, 8, 9, 128, 129, 130, 257):
                 for scale in (1.0, 1e-160, 1e155):
                     pts = _kernel_cloud(rng, n, d, scale, tied=d == 3)
                     ref = _running_sqdist(pts[:, None, :], pts[None, :, :])
-                    for rows in (None, 1, 2):
-                        if rows is not None:
-                            monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", rows * n * d)
-                        got = nn_graph._pairwise_sqdist(pts)
-                        assert _bits_equal(got, ref), (d, scale, rows)
-                        assert _bits_equal(got, got.T)
-                        assert (np.diag(got) == 0.0).all()
-                    monkeypatch.undo()
+                    got = nn_graph._pairwise_sqdist(pts)
+                    assert _bits_equal(got, ref), (d, scale)
+                    assert _bits_equal(got, got.T)
+                    assert (np.diag(got) == 0.0).all()
 
     def test_scratch_is_freed_on_return(self):
         # a reference cycle (say, a self-calling closure) would keep every
@@ -242,10 +240,8 @@ class _Call(tuple):
 def sqdist_blocks(monkeypatch):
     """Record the ``(rows, candidates, d)`` block of every
     :func:`_sum_squares` call as a :class:`_Call`: the tree's candidate
-    rounds (``one``, a ``(d, rows, k)`` gather), the copies' tie check
-    (``_nn_tree``, ``(d, groups)`` coordinates, one candidate per row) and
-    the all-pairs blocks (``_pairwise_sqdist``, rows ``[s, e)`` against
-    columns ``[s, n)`` in all ``d`` coordinates)."""
+    rounds (``one``, a ``(d, rows, k)`` gather) and the copies' tie check
+    (``_nn_tree``, ``(d, groups)`` coordinates, one candidate per row)."""
     blocks = []
     sum_squares = nn_graph._sum_squares
 
@@ -404,8 +400,7 @@ class TestTreeBruteEquivalence:
         rng = np.random.default_rng(12)
         n, d = 60, 5
         pts = rng.standard_normal((n, d))
-        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", n * n * d)
-        one_block = _nn_brute(pts)
+        brute = _nn_brute(pts)
         lattice = _lattice((8, 8), rng)
         lattice_nn = _nn_brute(lattice)
         queried = []
@@ -417,18 +412,10 @@ class TestTreeBruteEquivalence:
                 return dist, cand
 
         monkeypatch.setattr(nn_graph, "cKDTree", RecordingTree)
-        # the all-pairs matrix: rows [s, s + 7) against columns [s, n), each
-        # unordered pair once, all d coordinates in one kernel call
-        sqdist_blocks.clear()
-        monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", 7 * n * d)
-        assert (_nn_brute(pts) == one_block).all()
-        assert sqdist_blocks == [(min(7, n - s), n - s, d) for s in range(0, n, 7)]
-        assert max(np.prod(s) for s in sqdist_blocks) <= 7 * n * d
-
         # the tree's first round: (rows, k=3, d) queries and temporaries
         sqdist_blocks.clear()
         monkeypatch.setattr(nn_graph, "_SQDIST_BLOCK_ENTRIES", 7 * 3 * d)
-        assert (_nn_tree(pts) == one_block).all()
+        assert (_nn_tree(pts) == brute).all()
         assert len(sqdist_blocks) == -(-n // 7) and {s[1] for s in sqdist_blocks} == {3}
         assert queried == sqdist_blocks
         assert max(np.prod(s) for s in sqdist_blocks) <= 7 * 3 * d
